@@ -11,13 +11,13 @@ horizon are clamped and flagged).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import qnn_core as core
 from .errors import AssumptionViolated, RejectedInput
-from .linalg import eigh_jacobi, top_eigenpair
+from .linalg import top_eigenpair
 
 DEGENERATE_GAP_TOL = 1e-12
 
@@ -26,8 +26,8 @@ def eigengap_constant(phi: core.InducedForm) -> float:
     """Smallest M with lambda_1 - lambda_2 >= 4/M; error when the gap vanishes."""
     if phi.d < 2:
         raise RejectedInput("need d >= 2 for an eigengap")
-    w, _ = eigh_jacobi(phi.phi)
-    gap = float(w[0] - w[1])
+    w = np.linalg.eigvalsh(phi.phi)
+    gap = float(w[-1] - w[-2])
     if gap <= DEGENERATE_GAP_TOL:
         raise AssumptionViolated(f"top eigenvalues are degenerate (gap {gap:.3e})")
     return 4.0 / gap
@@ -58,10 +58,10 @@ class BanditProblem:
         if self.M is None:
             object.__setattr__(self, "M", eigengap_constant(phi))
         else:
-            w, _ = eigh_jacobi(phi.phi)
-            if float(w[0] - w[1]) < 4.0 / self.M - 1e-12:
+            w = np.linalg.eigvalsh(phi.phi)
+            if float(w[-1] - w[-2]) < 4.0 / self.M - 1e-12:
                 raise AssumptionViolated(
-                    f"eigengap {w[0] - w[1]:.6g} is below 4/M = {4.0 / self.M:.6g}"
+                    f"eigengap {w[-1] - w[-2]:.6g} is below 4/M = {4.0 / self.M:.6g}"
                 )
 
     @property
@@ -183,13 +183,8 @@ def run_etc(
         "noise_id": f"uniform(xi_max={problem.xi_max:g})",
         "seed": int(seed),
     })
-    fit = core.train_gd(data, d, problem.theta_star.k, core.TrainConfig(
-        learning_rate=cfg.learning_rate,
-        max_iters=cfg.max_iters,
-        grad_tol=cfg.grad_tol,
-        init_scale=cfg.init_scale,
-        seed=seed + 1,
-    ), theta_max=b.theta_max)
+    fit = core.train_gd(data, d, problem.theta_star.k, replace(cfg, seed=seed + 1),
+                        theta_max=b.theta_max)
     x_hat, _ = best_arm(core.induced(fit.net))
 
     _, y_star = problem.optimum()
@@ -246,9 +241,9 @@ def smooth_best_arm_check(
     Reports an assumption breach (verdict None) when the eigengap of phi_star
     falls below 4/M instead of judging the inequality.
     """
-    w, _ = eigh_jacobi(phi_star.phi)
+    w = np.linalg.eigvalsh(phi_star.phi)
     frob = float(np.linalg.norm(phi.phi - phi_star.phi))
-    if float(w[0] - w[1]) < 4.0 / M - 1e-12:
+    if float(w[-1] - w[-2]) < 4.0 / M - 1e-12:
         return SmoothBestArmVerdict(
             assumption_ok=False, frob_diff=frob,
             vector_gap=math.nan, vector_bound=math.nan, vector_ok=None,

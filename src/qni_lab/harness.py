@@ -3,7 +3,7 @@
 Scenarios are JSON dicts; every run is determined by (scenario digest, seed).
 Each invocation appends one JSONL record per run and writes command-specific
 CSVs. Floats are rendered with repr so identical runs produce byte-identical
-rows. Replicates can execute in a process pool; results are merged in a
+rows. Replicates can execute in a thread pool; results are merged in a
 deterministic order either way.
 """
 
@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +30,52 @@ COMMANDS = ("identify", "bandit", "transfer", "modules", "verify", "sweep")
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+
+# Scenario keys each command reads without a default.
+REQUIRED_KEYS = {
+    "identify": ("d", "k", "truth_seed"),
+    "bandit": ("d", "k", "spectrum", "theta_seed", "T"),
+    "transfer": ("d", "k", "B", "n_p", "n_g", "sigma0", "theta_seed"),
+    "modules": ("d", "k", "alphabet_size", "T", "alpha_shift",
+                "library_seed", "parser_seed", "chain_seed"),
+    "verify": (),
+}
+
+# Sweep axis -> (command run at each grid point, base key the sweep sets).
+SWEEP_AXES = {
+    "n": ("identify", "n_grid"),
+    "T": ("bandit", "T"),
+    "n_g": ("transfer", "n_g"),
+    "T_modules": ("modules", "T"),
+}
+
+
+def _check_scenario(command: str, scenario: dict) -> None:
+    """Reject a scenario that lacks a key its command needs, or names an
+    unknown sweep axis or verify check, before anything runs."""
+    if not isinstance(scenario, dict):
+        raise RejectedInput("scenario must be a JSON object")
+    where, skip = "scenario", None
+    if command == "sweep":
+        axis = scenario.get("axis")
+        if axis not in SWEEP_AXES:
+            raise RejectedInput(f"unknown sweep axis {axis!r}")
+        command, skip = SWEEP_AXES[axis]
+        scenario, where = scenario.get("base", {}), "sweep base scenario"
+        if not isinstance(scenario, dict):
+            raise RejectedInput(f"{where} must be a JSON object")
+    missing = [key for key in REQUIRED_KEYS[command] if key != skip and key not in scenario]
+    if missing:
+        raise RejectedInput(f"{where} is missing required key(s): {', '.join(missing)}")
+    if command == "verify":
+        checks, names = scenario.get("checks") or [], list(VERIFY_CHECKS)
+        if not isinstance(checks, list):
+            raise RejectedInput("checks must be a list of check names")
+        unknown = [repr(c) for c in checks if c not in names]
+        if unknown:
+            raise RejectedInput(
+                f"unknown verify check(s) {', '.join(unknown)}; known: {', '.join(names)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -47,6 +93,7 @@ class ExperimentConfig:
             raise RejectedInput("seeds must be nonempty and distinct")
         if self.parallelism < 1:
             raise RejectedInput("parallelism must be >= 1")
+        _check_scenario(self.command, self.scenario)
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         object.__setattr__(self, "out_dir", Path(self.out_dir))
 
@@ -128,6 +175,8 @@ def sampler_from_dict(spec: dict, d: int) -> core.CovariateSampler:
     if kind == "unit_sphere":
         return core.CovariateSampler.unit_sphere(d)
     if kind == "custom_mixture":
+        if "atoms" not in spec:
+            raise RejectedInput("a custom_mixture sampler is missing required key: atoms")
         return core.CovariateSampler(
             "custom_mixture", d,
             atoms=np.asarray(spec["atoms"], dtype=float),
@@ -301,7 +350,6 @@ def run_modules_seed(scenario: dict, seed: int) -> dict:
 
 @dataclass
 class CheckResult:
-    name: str
     passed: bool
     detail: dict = field(default_factory=dict)
 
@@ -312,7 +360,7 @@ def _check_strong_convexity(scale: float, seed: int) -> CheckResult:
         n_directions=20, seed=seed,
     )
     floor = 1.0 / 180.0 - 0.001
-    return CheckResult("strong-convexity-mc", est >= floor, {"estimate": est, "floor": floor})
+    return CheckResult(est >= floor, {"estimate": est, "floor": floor})
 
 
 def _check_loss_lipschitz(scale: float, seed: int) -> CheckResult:
@@ -337,7 +385,7 @@ def _check_loss_lipschitz(scale: float, seed: int) -> CheckResult:
         rhs = K * float(np.linalg.norm(phi - phi_p))
         worst = max(worst, lhs - rhs)
         ok = ok and lhs <= rhs + 1e-10
-    return CheckResult("loss-lipschitz-pairs", ok, {"worst_margin": worst})
+    return CheckResult(ok, {"worst_margin": worst})
 
 
 def _check_deviation_monotonic(scale: float, seed: int) -> CheckResult:
@@ -346,10 +394,7 @@ def _check_deviation_monotonic(scale: float, seed: int) -> CheckResult:
     eps = [identify.epsilon_bound(n, 3, 0.05, b).epsilon for n in grid]
     decreasing = all(a > b_ for a, b_ in zip(eps, eps[1:]))
     ratio_ok = identify.epsilon_bound(10**8, 3, 0.05, b).epsilon < identify.epsilon_bound(10**4, 3, 0.05, b).epsilon / 50.0
-    return CheckResult(
-        "deviation-monotonicity", decreasing and ratio_ok,
-        {"eps_1e4": eps[2], "eps_1e8": eps[6]},
-    )
+    return CheckResult(decreasing and ratio_ok, {"eps_1e4": eps[2], "eps_1e8": eps[6]})
 
 
 def _check_identification_dominance(scale: float, seed: int) -> CheckResult:
@@ -365,14 +410,12 @@ def _check_identification_dominance(scale: float, seed: int) -> CheckResult:
     worst = 0.0
     for r in range(runs):
         data = core.generate_dataset(truth, sampler, 0.0, "zero", n, seed + 100 + r)
-        fit = core.train_gd(data, d, k, core.TrainConfig(
-            learning_rate=cfg.learning_rate, max_iters=cfg.max_iters,
-            grad_tol=cfg.grad_tol, seed=seed + 200 + r), theta_max=b.theta_max)
+        fit = core.train_gd(data, d, k, replace(cfg, seed=seed + 200 + r), theta_max=b.theta_max)
         bound = identify.epsilon_bound(n, d, 0.1, b)
         verdict = identify.identification_check(truth, fit.net, bound, alpha, b.x_max)
         all_ok = all_ok and verdict.holds and verdict.frob_holds
         worst = max(worst, verdict.measured_sup_gap_sq / verdict.certified_sup_gap_sq)
-    return CheckResult("identification-dominance", all_ok, {"worst_ratio": worst, "runs": runs})
+    return CheckResult(all_ok, {"worst_ratio": worst, "runs": runs})
 
 
 def _check_smooth_best_arm(scale: float, seed: int) -> CheckResult:
@@ -388,7 +431,7 @@ def _check_smooth_best_arm(scale: float, seed: int) -> CheckResult:
         phi = core.InducedForm(phi_star.phi + rng.uniform(0.0, 1.0) * e)
         verdict = bandit.smooth_best_arm_check(phi, phi_star, M)
         ok = ok and verdict.holds is True
-    return CheckResult("smooth-best-arm", ok, {"trials": n})
+    return CheckResult(ok, {"trials": n})
 
 
 def _check_alignment(scale: float, seed: int) -> CheckResult:
@@ -411,7 +454,7 @@ def _check_alignment(scale: float, seed: int) -> CheckResult:
         )
         ok = ok and res.aligned_gap <= bound + 1e-10 and orth <= 1e-10
         worst = max(worst, res.aligned_gap - bound)
-    return CheckResult("orthogonal-alignment", ok, {"worst_margin": worst})
+    return CheckResult(ok, {"worst_margin": worst})
 
 
 def _check_worst_case_shift(scale: float, seed: int) -> CheckResult:
@@ -423,7 +466,7 @@ def _check_worst_case_shift(scale: float, seed: int) -> CheckResult:
             brute = module_net.sequence_tv_bruteforce(spec)
             worst = max(worst, abs(brute - exact))
             ok = ok and abs(brute - exact) <= 1e-12
-    return CheckResult("worst-case-sequence-shift", ok, {"worst_abs_err": worst})
+    return CheckResult(ok, {"worst_abs_err": worst})
 
 
 def _check_mixture_shift(scale: float, seed: int) -> CheckResult:
@@ -436,7 +479,7 @@ def _check_mixture_shift(scale: float, seed: int) -> CheckResult:
         spec = module_net.ShiftSpec(chain, shifted, 0.2)
         parser = module_net.random_parser(4, 3, rng)
         ok = ok and module_net.mixture_shift_check(spec, parser)["holds"]
-    return CheckResult("mixture-shift-linearity", ok, {"specs": n})
+    return CheckResult(ok, {"specs": n})
 
 
 def _check_sequence_error(scale: float, seed: int) -> CheckResult:
@@ -453,7 +496,7 @@ def _check_sequence_error(scale: float, seed: int) -> CheckResult:
         parser_hat = module_net.Parser(table)
         res = module_net.sequence_error_check(parser_hat, parser_true, chain, 0, seed)
         ok = ok and res["holds"] and res["exact"]
-    return CheckResult("parser-sequence-error", ok, {"parsers": n})
+    return CheckResult(ok, {"parsers": n})
 
 
 def _check_composition_bound(scale: float, seed: int) -> CheckResult:
@@ -462,40 +505,37 @@ def _check_composition_bound(scale: float, seed: int) -> CheckResult:
     scenario["n_train"] = max(int(300 * scale), 100)
     report = run_modules_seed(scenario, seed)
     return CheckResult(
-        "composition-error-bound", bool(report["holds"]),
-        {"freq_within": report["freq_within"], "target": report["target"]},
+        bool(report["holds"]), {"freq_within": report["freq_within"], "target": report["target"]}
     )
 
 
-VERIFY_CHECKS = [
-    _check_strong_convexity,
-    _check_loss_lipschitz,
-    _check_deviation_monotonic,
-    _check_identification_dominance,
-    _check_smooth_best_arm,
-    _check_alignment,
-    _check_worst_case_shift,
-    _check_mixture_shift,
-    _check_sequence_error,
-    _check_composition_bound,
-]
+VERIFY_CHECKS = {
+    "strong-convexity-mc": _check_strong_convexity,
+    "loss-lipschitz-pairs": _check_loss_lipschitz,
+    "deviation-monotonicity": _check_deviation_monotonic,
+    "identification-dominance": _check_identification_dominance,
+    "smooth-best-arm": _check_smooth_best_arm,
+    "orthogonal-alignment": _check_alignment,
+    "worst-case-sequence-shift": _check_worst_case_shift,
+    "mixture-shift-linearity": _check_mixture_shift,
+    "parser-sequence-error": _check_sequence_error,
+    "composition-error-bound": _check_composition_bound,
+}
 
 
 def run_verify_seed(scenario: dict, seed: int) -> dict:
+    """Run the checks named in scenario["checks"] (all when absent or empty),
+    in suite order; unselected checks never run."""
     scale = float(scenario.get("scale", 1.0))
     wanted = scenario.get("checks")
-    results = []
-    for fn in VERIFY_CHECKS:
-        res = fn(scale, seed)
-        if wanted and res.name not in wanted:
-            continue
-        results.append(res)
+    results = {
+        name: fn(scale, seed) for name, fn in VERIFY_CHECKS.items() if not wanted or name in wanted
+    }
     return {
         "checks": [
-            {"check": r.name, "passed": int(r.passed), **{k: v for k, v in r.detail.items()}}
-            for r in results
+            {"check": name, "passed": int(r.passed), **r.detail} for name, r in results.items()
         ],
-        "all_passed": int(all(r.passed for r in results)),
+        "all_passed": int(all(r.passed for r in results.values())),
     }
 
 
@@ -505,11 +545,9 @@ def run_verify_seed(scenario: dict, seed: int) -> dict:
 
 def run_sweep(config: ExperimentConfig) -> tuple[int, dict]:
     scenario = config.scenario
-    axis = scenario.get("axis")
+    axis = scenario["axis"]
     grid = scenario.get("grid")
     base = scenario.get("base", {})
-    if axis not in ("n", "T", "n_g", "T_modules"):
-        raise RejectedInput(f"unknown sweep axis {axis!r}")
     if grid is None or len(grid) < 3 or sorted(grid) != list(grid):
         raise RejectedInput("grid must be sorted ascending with at least 3 points")
 

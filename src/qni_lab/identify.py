@@ -11,7 +11,7 @@ verdicts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -186,13 +186,8 @@ def robust_shift_experiment(
     for n in n_grid:
         for seed in seeds:
             data = core.generate_dataset(truth, sampler_p, xi_max, noise_kind, n, seed)
-            fit = core.train_gd(data, truth.d, truth.k, core.TrainConfig(
-                learning_rate=cfg.learning_rate,
-                max_iters=cfg.max_iters,
-                grad_tol=cfg.grad_tol,
-                init_scale=cfg.init_scale,
-                seed=seed + 1,
-            ), theta_max=bounds.theta_max)
+            fit = core.train_gd(data, truth.d, truth.k, replace(cfg, seed=seed + 1),
+                                theta_max=bounds.theta_max)
             bound = epsilon_bound(n, truth.d, delta, bounds)
             verdict = identification_check(truth, fit.net, bound, alpha, bounds.x_max)
             rng_eval = np.random.default_rng(seed + 2)

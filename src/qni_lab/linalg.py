@@ -1,166 +1,32 @@
-"""Dense symmetric eigensolver (cyclic Jacobi) and a thin SVD built on it.
+"""Eigenpairs of symmetric matrices with a fixed eigenvector sign convention.
 
-Everything here is deterministic: no randomized pivoting, fixed sweep order,
-and a fixed sign convention for eigenvectors (first coordinate above the
-sign tolerance is made positive). Intended for the small matrices this
-package works with (d <= 64).
+The decomposition is LAPACK's (numpy.linalg.eigh); the returned eigenvector
+is flipped so that its first entry above the sign tolerance is positive.
+Bandit arms and sup-gap witnesses are eigenvectors, so the convention makes
+them independent of the solver's sign choice.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import RejectedInput
-
 _SIGN_TOL = 1e-12
 
 
-def _fix_column_signs(v: np.ndarray) -> np.ndarray:
-    """Flip each column so its first entry with |entry| > tol is positive."""
-    v = v.copy()
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        nz = np.nonzero(np.abs(col) > _SIGN_TOL)[0]
-        if nz.size and col[nz[0]] < 0:
-            v[:, j] = -col
-    return v
-
-
-def eigh_jacobi(a: np.ndarray, tol: float = 1e-14, max_sweeps: int = 64):
-    """Eigendecomposition of a symmetric matrix via cyclic Jacobi rotations.
-
-    Returns (w, v) with eigenvalues w sorted in descending order and
-    eigenvectors in the columns of v (orthonormal, sign-normalized).
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise RejectedInput(f"expected a square matrix, got shape {a.shape}")
-    if not np.allclose(a, a.T, atol=1e-10, rtol=0.0):
-        raise RejectedInput("matrix is not symmetric")
-    n = a.shape[0]
-    m = (a + a.T) / 2.0
-    v = np.eye(n)
-    if n == 1:
-        w = np.array([m[0, 0]])
-        return w, _fix_column_signs(v)
-
-    scale = np.linalg.norm(m)
-    thresh = tol * max(scale, 1.0)
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.tril(m, -1) ** 2) * 2.0)
-        if off <= thresh:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = m[p, q]
-                if abs(apq) <= thresh / (n * n):
-                    continue
-                tau = (m[q, q] - m[p, p]) / (2.0 * apq)
-                # smaller-magnitude root keeps the rotation angle <= pi/4
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rp = m[:, p].copy()
-                rq = m[:, q].copy()
-                m[:, p] = c * rp - s * rq
-                m[:, q] = s * rp + c * rq
-                rp = m[p, :].copy()
-                rq = m[q, :].copy()
-                m[p, :] = c * rp - s * rq
-                m[q, :] = s * rp + c * rq
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-
-    w = np.diag(m).copy()
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    v = v[:, order]
-    return w, _fix_column_signs(v)
+def _fix_sign(vec: np.ndarray) -> np.ndarray:
+    """Flip vec so its first entry with |entry| > tol is positive."""
+    nz = np.nonzero(np.abs(vec) > _SIGN_TOL)[0]
+    return -vec if nz.size and vec[nz[0]] < 0 else vec
 
 
 def top_eigenpair(a: np.ndarray):
     """Largest eigenvalue and its sign-normalized unit eigenvector."""
-    w, v = eigh_jacobi(a)
-    return w[0], v[:, 0]
+    w, v = np.linalg.eigh(a)
+    return w[-1], _fix_sign(v[:, -1])
 
 
 def extreme_eigenpair(a: np.ndarray):
     """Eigenpair with the largest |eigenvalue| (ties go to the positive end)."""
-    w, v = eigh_jacobi(a)
-    if abs(w[0]) >= abs(w[-1]):
-        return w[0], v[:, 0]
-    return w[-1], v[:, -1]
-
-
-def complete_orthonormal(cols: np.ndarray, k: int) -> np.ndarray:
-    """Extend orthonormal columns (k x m, m <= k) to a k x k orthogonal matrix.
-
-    Completion greedily orthogonalizes standard basis vectors in index order,
-    so the result is deterministic.
-    """
-    cols = np.asarray(cols, dtype=float)
-    if cols.ndim != 2 or cols.shape[0] != k:
-        raise RejectedInput(f"expected columns of height {k}, got shape {cols.shape}")
-    basis = [cols[:, j] for j in range(cols.shape[1])]
-    for i in range(k):
-        if len(basis) == k:
-            break
-        cand = np.zeros(k)
-        cand[i] = 1.0
-        for b in basis:
-            cand = cand - np.dot(b, cand) * b
-        nrm = np.linalg.norm(cand)
-        if nrm > 1e-8:
-            cand = cand / nrm
-            # second pass tightens orthogonality against earlier columns
-            for b in basis:
-                cand = cand - np.dot(b, cand) * b
-            cand = cand / np.linalg.norm(cand)
-            basis.append(cand)
-    if len(basis) != k:
-        raise RejectedInput("could not complete an orthonormal basis")
-    return np.stack(basis, axis=1)
-
-
-def thin_svd_wide(theta: np.ndarray, rank_tol: float = 1e-12):
-    """Thin SVD U S V^T of a d x k matrix with k >= d, via the Jacobi eigensolver.
-
-    U is d x d orthogonal, S the d descending singular values, V is k x d with
-    orthonormal columns. Columns of V paired with near-zero singular values are
-    filled by deterministic orthonormal completion of the leading columns.
-    """
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim != 2:
-        raise RejectedInput(f"expected a matrix, got shape {theta.shape}")
-    d, k = theta.shape
-    if k < d:
-        raise RejectedInput(f"need k >= d, got d={d}, k={k}")
-    lam, u = eigh_jacobi(theta @ theta.T)
-    sing = np.sqrt(np.clip(lam, 0.0, None))
-    scale = max(sing[0], 1.0)
-    v_cols = []
-    for i in range(d):
-        if sing[i] > rank_tol * scale:
-            v_cols.append((theta.T @ u[:, i]) / sing[i])
-        else:
-            v_cols.append(None)
-    present = [c for c in v_cols if c is not None]
-    if present:
-        filled = complete_orthonormal(np.stack(present, axis=1), k)
-    else:
-        filled = np.eye(k)
-    nxt = len(present)
-    out = []
-    for c in v_cols:
-        if c is not None:
-            out.append(c)
-        else:
-            out.append(filled[:, nxt])
-            nxt += 1
-    v = np.stack(out, axis=1)
-    return u, sing, v
+    w, v = np.linalg.eigh(a)
+    i = -1 if abs(w[-1]) >= abs(w[0]) else 0
+    return w[i], _fix_sign(v[:, i])

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import qnn_core as core
 from .errors import RejectedInput
-from .linalg import eigh_jacobi
 
 START_STATE = 0  # parser state before any token is read; modules are 1..k
 
@@ -146,8 +145,8 @@ class ModuleLibrary:
         for m in self.modules:
             agg = 0.0
             for net in m:
-                w, _ = eigh_jacobi(core.induced(net).phi)
-                agg += float(w[0]) ** 2
+                w = np.linalg.eigvalsh(core.induced(net).phi)
+                agg += float(w[-1]) ** 2
             worst = max(worst, 2.0 * self.x_max * math.sqrt(agg))
         return worst
 
@@ -426,6 +425,8 @@ def sequence_error_check(
                 err += p
         exact = True
     else:
+        if n_mc < 1:
+            raise RejectedInput(f"n_mc must be >= 1 when |Z|^T = {n_words} exceeds enumerate_limit")
         rng = np.random.default_rng(seed)
         bad = 0
         for _ in range(n_mc):
@@ -462,7 +463,7 @@ def module_sup_error(fitted: ModuleLibrary, true: ModuleLibrary) -> tuple[float,
         agg = 0.0
         for c in range(true.d):
             delta = core.induced(fitted.modules[j][c]).phi - core.induced(true.modules[j][c]).phi
-            w, _ = eigh_jacobi(delta)
+            w = np.linalg.eigvalsh(delta)
             rho = max(abs(float(w[0])), abs(float(w[-1])))
             agg += (x_max**2 * rho) ** 2
         per_module.append(math.sqrt(agg))
@@ -494,6 +495,8 @@ def composition_error_experiment(
     measured Lipschitz constants of the true library, and eps_g the exact
     parser disagreement under the base chain's averaged mixture.
     """
+    if n_mc < 1:
+        raise RejectedInput("n_mc must be >= 1")
     rng = np.random.default_rng(seed)
     T = spec.base.T
     eps_f, _ = module_sup_error(fitted_library, true_library)
@@ -572,8 +575,8 @@ def make_library(
         coords = [rng.standard_normal((d, width)) for _ in range(d)]
         agg = 0.0
         for theta in coords:
-            w, _ = eigh_jacobi(theta @ theta.T)
-            agg += float(w[0]) ** 2
+            w = np.linalg.eigvalsh(theta @ theta.T)
+            agg += float(w[-1]) ** 2
         gamma = math.sqrt(target_agg / math.sqrt(agg))
         modules.append(tuple(core.QuadNet(gamma * theta) for theta in coords))
     return ModuleLibrary(tuple(modules), x_max=x_max, k_module=lipschitz_target)
@@ -598,10 +601,7 @@ def fit_library(
         for c in range(d):
             truth = true_library.modules[j][c]
             data = core.generate_dataset(truth, sampler, xi_max, noise_kind, n_per_coordinate, s)
-            res = core.train_gd(data, d, truth.k, core.TrainConfig(
-                learning_rate=cfg.learning_rate, max_iters=cfg.max_iters,
-                grad_tol=cfg.grad_tol, init_scale=cfg.init_scale, seed=s + 1,
-            ))
+            res = core.train_gd(data, d, truth.k, replace(cfg, seed=s + 1))
             coords.append(res.net)
             s += 2
         fitted.append(tuple(coords))

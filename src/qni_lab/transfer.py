@@ -3,23 +3,23 @@
 A large proxy sample pins down the induced form of the source net; the gold
 fit is then run inside a Frobenius ball around the proxy estimate whose
 radius inflates the known parameter shift B by the proxy estimation error.
-The orthogonal-alignment construction (thin SVDs, R = V U^T completed to a
-square orthogonal matrix) converts closeness of induced forms into closeness
-of parameter matrices whenever the reference factor has full row rank.
+The orthogonal-alignment construction (from the SVD theta = U S V^T, the
+square orthogonal R = [V_d U^T | V_rest]) converts closeness of induced
+forms into closeness of parameter matrices whenever the reference factor has
+full row rank.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import qnn_core as core
 from .errors import AssumptionViolated, Diverged, RejectedInput
 from .identify import epsilon_bound, resolve_alpha, sup_function_gap
-from .linalg import complete_orthonormal, eigh_jacobi, thin_svd_wide
 
 RANK_TOL = 1e-12
 
@@ -28,8 +28,7 @@ def sigma_min(net: core.QuadNet) -> float:
     """d-th largest singular value of theta (needs k >= d)."""
     if net.k < net.d:
         raise RejectedInput(f"need k >= d, got d={net.d}, k={net.k}")
-    w, _ = eigh_jacobi(net.theta @ net.theta.T)
-    return float(math.sqrt(max(float(w[-1]), 0.0)))
+    return float(np.linalg.svd(net.theta, compute_uv=False)[-1])
 
 
 @dataclass(frozen=True)
@@ -131,8 +130,10 @@ class AlignmentResult:
 def align(theta: core.QuadNet, theta_prime: core.QuadNet, sigma0: float) -> AlignmentResult:
     """Orthogonal matrices R, R' with theta R close to theta' R'.
 
-    Built from thin SVDs: R has leading block V U^T, completed to k x k
-    orthogonal; then theta R = [U S U^T | 0]. The aligned gap is bounded by
+    Built from the SVD theta = U S V^T: R = [V_d U^T | V_rest] is k x k
+    orthogonal, with V_d the d leading right singular vectors, so that
+    theta R = [U S U^T | 0] = [phi^(1/2) | 0] whatever the sign or completion
+    LAPACK picks. The aligned gap is bounded by
     ||phi - phi'||_F / sigma_min(theta') whenever theta' has full row rank.
     """
     if theta.theta.shape != theta_prime.theta.shape:
@@ -150,9 +151,8 @@ def align(theta: core.QuadNet, theta_prime: core.QuadNet, sigma0: float) -> Alig
         )
 
     def full_rotation(net: core.QuadNet) -> np.ndarray:
-        u, _, v = thin_svd_wide(net.theta)
-        lead = v @ u.T  # k x d block
-        return np.hstack([lead, complete_orthonormal(v, k)[:, d:]])
+        u, _, vt = np.linalg.svd(net.theta)
+        return np.hstack([vt[:d].T @ u.T, vt[d:].T])
 
     r = full_rotation(theta)
     r_prime = full_rotation(theta_prime)
@@ -223,10 +223,8 @@ def run_transfer(
         problem.theta_p_star, problem.sampler_p, problem.xi_max, problem.noise_kind,
         problem.n_p, seed,
     )
-    fit_p = core.train_gd(data_p, problem.d, problem.k, core.TrainConfig(
-        learning_rate=cfg.learning_rate, max_iters=cfg.max_iters,
-        grad_tol=cfg.grad_tol, init_scale=cfg.init_scale, seed=seed + 1,
-    ), theta_max=b.theta_max)
+    fit_p = core.train_gd(data_p, problem.d, problem.k, replace(cfg, seed=seed + 1),
+                          theta_max=b.theta_max)
     eps_p = proxy_epsilon(problem.n_p, problem.d, delta, b)
     B_hat = expanded_radius(problem.B, eps_p, alpha, problem.sigma0)
 

@@ -37,7 +37,8 @@ def finite_difference_gradient(net: core.QuadNet, data: core.Dataset, step: floa
 def power_iteration_extreme(delta: np.ndarray, iters: int = 500, seed: int = 0) -> float:
     """|extreme eigenvalue| of a symmetric matrix via power iteration on delta^2.
 
-    Independent of the Jacobi solver; used as a spectral-radius oracle.
+    Uses only matrix-vector products, independent of the LAPACK eigensolver
+    behind qni_lab.linalg; used as a spectral-radius oracle.
     """
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(delta.shape[0])

@@ -181,15 +181,85 @@ def test_identify_require_holds_flag(tmp_path):
 
 def test_verify_exit_code_names_failed_check(tmp_path, capsys, monkeypatch):
     def broken_check(scale, seed):
-        return harness.CheckResult("always-broken", False, {"reason": "stub"})
+        return harness.CheckResult(False, {"reason": "stub"})
 
-    monkeypatch.setattr(harness, "VERIFY_CHECKS", [harness._check_deviation_monotonic, broken_check])
+    monkeypatch.setattr(harness, "VERIFY_CHECKS", {
+        "deviation-monotonicity": harness._check_deviation_monotonic,
+        "always-broken": broken_check,
+    })
     cfg = harness.ExperimentConfig("verify", {"scale": 0.1}, (0,), tmp_path)
     status = harness.run(cfg)
     out = capsys.readouterr().out
     assert status == 1
     assert "[FAIL] always-broken" in out
     assert "violated checks: always-broken" in out
+
+
+def test_verify_runs_only_selected_checks(tmp_path, monkeypatch):
+    ran = []
+
+    def check(name):
+        def fn(scale, seed):
+            ran.append(name)
+            return harness.CheckResult(True)
+        return fn
+
+    monkeypatch.setattr(harness, "VERIFY_CHECKS", {n: check(n) for n in ("a", "b", "c")})
+    cfg = harness.ExperimentConfig("verify", {"checks": ["c", "a"]}, (0,), tmp_path)
+    assert harness.run(cfg) == 0
+    assert ran == ["a", "c"]
+    header, rows = read_rows(tmp_path / "checks.csv")
+    assert rows == ["0,a,1", "0,c,1"]
+
+
+def test_verify_unknown_check_exits_2(tmp_path, capsys):
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps({"checks": ["no-such-check"]}))
+    status = cli.main(["verify", "--scenario", str(scenario_path), "--out", str(tmp_path / "out")])
+    assert status == 2
+    assert "no-such-check" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "checks.csv").exists()
+
+
+def default_without(command, key):
+    return {k: v for k, v in harness.default_scenario(command).items() if k != key}
+
+
+@pytest.mark.parametrize("command, scenario, missing", [
+    ("identify", default_without("identify", "truth_seed"), "truth_seed"),
+    ("bandit", default_without("bandit", "spectrum"), "spectrum"),
+    ("transfer", default_without("transfer", "sigma0"), "sigma0"),
+    ("modules", default_without("modules", "chain_seed"), "chain_seed"),
+    ("sweep", {"axis": "T", "grid": [100, 200, 400], "base": default_without("bandit", "d")}, "d"),
+    ("sweep", {"axis": "n", "grid": [100, 200, 400]}, "truth_seed"),
+])
+def test_cli_missing_scenario_key_exits_2(tmp_path, capsys, command, scenario, missing):
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(scenario))
+    status = cli.main([command, "--scenario", str(scenario_path), "--out", str(tmp_path / "out")])
+    assert status == 2
+    assert missing in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_mixture_sampler_without_atoms_exits_2(tmp_path, capsys):
+    scenario = small_identify_scenario()
+    scenario["sampler"] = {"kind": "custom_mixture"}
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(scenario))
+    assert cli.main(["identify", "--scenario", str(scenario_path), "--out", str(tmp_path / "out")]) == 2
+    assert "atoms" in capsys.readouterr().err
+
+
+def test_sweep_base_may_omit_the_swept_key(tmp_path):
+    sc = {"axis": "T", "grid": [100, 200, 400], "base": default_without("bandit", "T")}
+    harness.ExperimentConfig("sweep", sc, (0,), tmp_path)
+
+
+def test_cli_non_object_scenario_exits_2(tmp_path):
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text("[1, 2]")
+    assert cli.main(["verify", "--scenario", str(scenario_path), "--out", str(tmp_path)]) == 2
 
 
 def test_scenario_hash_stable_and_sensitive():

@@ -1,47 +1,47 @@
 import numpy as np
 import pytest
 
-from conftest import random_symmetric
-from qni_lab.errors import RejectedInput
-from qni_lab.linalg import (
-    complete_orthonormal,
-    eigh_jacobi,
-    extreme_eigenpair,
-    thin_svd_wide,
-    top_eigenpair,
-)
+from conftest import power_iteration_extreme, random_symmetric
+from qni_lab.linalg import extreme_eigenpair, top_eigenpair
+
+
+def first_significant(vec):
+    return vec[np.abs(vec) > 1e-12][0]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 16])
-def test_jacobi_matches_reference_eigenvalues(d):
+def test_eigenpairs_match_power_iteration(d):
     rng = np.random.default_rng(d)
     for _ in range(10):
         a = random_symmetric(d, rng)
-        w, v = eigh_jacobi(a)
-        ref = np.sort(np.linalg.eigvalsh(a))[::-1]
-        assert np.allclose(w, ref, atol=1e-10)
-        # defining property and orthonormality
-        assert np.linalg.norm(a @ v - v @ np.diag(w)) < 1e-9
-        assert np.linalg.norm(v.T @ v - np.eye(d)) < 1e-10
+        lam_e, vec_e = extreme_eigenpair(a)
+        lam_t, vec_t = top_eigenpair(a)
+        for lam, vec in ((lam_e, vec_e), (lam_t, vec_t)):
+            # defining property and unit norm
+            assert np.linalg.norm(a @ vec - lam * vec) < 1e-9
+            assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+        assert abs(lam_e) == pytest.approx(power_iteration_extreme(a, iters=5000), rel=1e-8)
+        # shifting by ||a||_F makes every eigenvalue positive, so the extreme
+        # eigenvalue of the shifted matrix is the top one
+        shift = np.linalg.norm(a)
+        top = power_iteration_extreme(a + shift * np.eye(d), iters=5000) - shift
+        assert lam_t == pytest.approx(top, abs=1e-8)
 
 
-def test_jacobi_sign_convention_deterministic():
+def test_sign_convention_deterministic():
     rng = np.random.default_rng(7)
-    a = random_symmetric(4, rng)
-    w1, v1 = eigh_jacobi(a)
-    w2, v2 = eigh_jacobi(a.copy())
-    assert np.array_equal(w1, w2)
-    assert np.array_equal(v1, v2)
-    for j in range(4):
-        first = v1[np.abs(v1[:, j]) > 1e-12, j][0]
-        assert first > 0
-
-
-def test_jacobi_rejects_nonsquare_and_asymmetric():
-    with pytest.raises(RejectedInput):
-        eigh_jacobi(np.ones((2, 3)))
-    with pytest.raises(RejectedInput):
-        eigh_jacobi(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    for _ in range(20):
+        a = random_symmetric(4, rng)
+        for fn in (top_eigenpair, extreme_eigenpair):
+            lam1, v1 = fn(a)
+            lam2, v2 = fn(a.copy())
+            assert lam1 == lam2
+            assert np.array_equal(v1, v2)
+            assert first_significant(v1) > 0
+    # entries below the sign tolerance do not decide the sign
+    v = np.array([1e-14, -0.6, 0.8])
+    _, vec = top_eigenpair(5.0 * np.outer(v, v))
+    assert np.allclose(vec, -v)
 
 
 def test_top_and_extreme_eigenpairs():
@@ -52,37 +52,7 @@ def test_top_and_extreme_eigenpairs():
     lam_e, vec_e = extreme_eigenpair(a)
     assert lam_e == pytest.approx(-5.0)
     assert np.allclose(np.abs(vec_e), [0, 1, 0])
-
-
-def test_complete_orthonormal_extends_to_square():
-    rng = np.random.default_rng(3)
-    q, _ = np.linalg.qr(rng.standard_normal((6, 2)))
-    full = complete_orthonormal(q, 6)
-    assert full.shape == (6, 6)
-    assert np.linalg.norm(full.T @ full - np.eye(6)) < 1e-10
-    assert np.allclose(full[:, :2], q)
-
-
-@pytest.mark.parametrize("shape", [(2, 4), (3, 3), (4, 7)])
-def test_thin_svd_reconstructs(shape):
-    rng = np.random.default_rng(shape[0] * 10 + shape[1])
-    theta = rng.standard_normal(shape)
-    u, s, v = thin_svd_wide(theta)
-    assert np.linalg.norm(u @ np.diag(s) @ v.T - theta) < 1e-9
-    assert np.linalg.norm(u.T @ u - np.eye(shape[0])) < 1e-10
-    assert np.linalg.norm(v.T @ v - np.eye(shape[0])) < 1e-9
-    ref = np.linalg.svd(theta, compute_uv=False)
-    assert np.allclose(np.sort(s)[::-1], ref, atol=1e-9)
-
-
-def test_thin_svd_handles_rank_deficiency():
-    theta = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0]])  # rank 1, d=2, k=3
-    u, s, v = thin_svd_wide(theta)
-    assert s[1] < 1e-12
-    assert np.linalg.norm(u @ np.diag(s) @ v.T - theta) < 1e-9
-    assert np.linalg.norm(v.T @ v - np.eye(2)) < 1e-9
-
-
-def test_thin_svd_rejects_tall():
-    with pytest.raises(RejectedInput):
-        thin_svd_wide(np.zeros((3, 2)))
+    # equal magnitudes: the positive end wins
+    lam_tie, vec_tie = extreme_eigenpair(np.diag([-2.0, 2.0, 1.0]))
+    assert lam_tie == pytest.approx(2.0)
+    assert np.allclose(vec_tie, [0, 1, 0])

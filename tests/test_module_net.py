@@ -372,6 +372,14 @@ def test_sequence_error_montecarlo_path():
     assert out["holds"]
 
 
+def test_sequence_error_montecarlo_path_rejects_zero_samples():
+    rng = np.random.default_rng(18)
+    chain = mn.random_chain(4, 12, rng)
+    parser = mn.random_parser(4, 3, rng)
+    with pytest.raises(RejectedInput):
+        mn.sequence_error_check(parser, parser, chain, 0, 3)
+
+
 # ---------------------------------------------------------------------------
 # module errors and the composition experiment
 
@@ -451,6 +459,15 @@ def test_composition_experiment_exact_setup_has_zero_gap():
     assert report["freq_parse_match"] == 1.0
     assert all(r["gap_l2"] == 0.0 for r in report["rows"])
     assert report["holds"]
+
+
+def test_composition_experiment_rejects_zero_samples():
+    rng = np.random.default_rng(23)
+    lib = tiny_library(rng)
+    parser = mn.random_parser(3, 3, rng)
+    chain = mn.random_chain(3, 4, rng)
+    with pytest.raises(RejectedInput):
+        mn.composition_error_experiment(lib, lib, parser, parser, mn.ShiftSpec(chain, chain, 0.0), 0, 0)
 
 
 def test_composition_experiment_contractive_bound():

@@ -136,6 +136,46 @@ def test_align_scalar_sign_case():
     assert abs(abs(res.R[0, 0]) - 1.0) <= 1e-12
 
 
+def assert_rotates_to_sqrt_phi(theta: np.ndarray, r: np.ndarray):
+    """R is orthogonal and theta R = [phi^(1/2) | 0]: the leading block is
+    symmetric PSD and squares to phi = theta theta^T."""
+    d, k = theta.shape
+    assert np.linalg.norm(r.T @ r - np.eye(k)) <= 1e-10
+    assert np.linalg.norm(r @ r.T - np.eye(k)) <= 1e-10
+    rotated = theta @ r
+    root = rotated[:, :d]
+    assert np.linalg.norm(rotated[:, d:]) <= 1e-10
+    assert np.linalg.norm(root - root.T) <= 1e-10
+    assert np.linalg.eigvalsh(root).min() >= -1e-10
+    assert np.linalg.norm(root @ root - theta @ theta.T) <= 1e-10
+
+
+@pytest.mark.parametrize("shape", [(2, 4), (3, 3), (4, 7)])
+def test_align_rotation_is_orthogonal_and_gives_sqrt_phi(shape):
+    d, k = shape
+    rng = np.random.default_rng(d * 10 + k)
+    theta = core.QuadNet(rng.standard_normal(shape))
+    theta_p = source_net(d, k, 0.3, rng)
+    res = transfer.align(theta, theta_p, sigma0=0.3)
+    assert_rotates_to_sqrt_phi(theta.theta, res.R)
+    assert_rotates_to_sqrt_phi(theta_p.theta, res.R_prime)
+    lead = (theta.theta @ res.R - theta_p.theta @ res.R_prime)[:, :d]
+    assert res.aligned_gap == pytest.approx(np.linalg.norm(lead), abs=1e-12)
+
+
+def test_align_rank_deficient_first_argument():
+    theta = core.QuadNet(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0]]))  # rank 1, d=2, k=3
+    theta_p = source_net(2, 3, 0.3, np.random.default_rng(5))
+    res = transfer.align(theta, theta_p, sigma0=0.3)
+    assert_rotates_to_sqrt_phi(theta.theta, res.R)
+    assert_rotates_to_sqrt_phi(theta_p.theta, res.R_prime)
+
+
+def test_align_rejects_tall():
+    with pytest.raises(RejectedInput):
+        transfer.align(core.QuadNet(np.ones((3, 2))), core.QuadNet(np.ones((3, 2))), sigma0=0.1)
+
+
 def test_align_warns_below_sigma0_and_rejects_rank_deficiency():
     rng = np.random.default_rng(3)
     theta = source_net(2, 4, 0.1, rng)
