@@ -28,6 +28,7 @@ from .qnn_core import (
     nominal_alpha,
     population_loss_exact,
     population_loss_mc,
+    projected_gd,
     train_gd,
 )
 from .identify import (
@@ -57,7 +58,6 @@ from .transfer import (
     TransferProblem,
     align,
     expanded_radius,
-    fit_gold_constrained,
     gold_epsilon,
     proxy_epsilon,
     run_transfer,

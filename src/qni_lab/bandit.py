@@ -96,7 +96,7 @@ class BanditTrace:
     actions: np.ndarray
     rewards: np.ndarray
     inst_regret: np.ndarray
-    fitted: core.QuadNet
+    fit: core.TrainResult
     committed_arm: np.ndarray
 
     @property
@@ -208,7 +208,7 @@ def run_etc(
         actions=actions,
         rewards=rewards,
         inst_regret=inst_regret,
-        fitted=fit.net,
+        fit=fit,
         committed_arm=x_hat,
     )
 

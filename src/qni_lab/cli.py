@@ -8,7 +8,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import RejectedInput
+from .errors import Diverged, RejectedInput
 from .harness import COMMANDS, EXIT_USAGE, ExperimentConfig, default_scenario, run
 
 
@@ -59,6 +59,9 @@ def main(argv: list[str] | None = None) -> int:
         return run(config)
     except RejectedInput as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except Diverged as exc:
+        print(f"training diverged: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

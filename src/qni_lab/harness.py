@@ -14,6 +14,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -31,15 +32,21 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
-# Scenario keys each command reads without a default.
+# Scenario keys each command reads without a default, with the type each
+# value must have: int, float (any real number) or list (of real numbers).
+# Counts the builders pass through int() are real numbers.
 REQUIRED_KEYS = {
-    "identify": ("d", "k", "truth_seed"),
-    "bandit": ("d", "k", "spectrum", "theta_seed", "T"),
-    "transfer": ("d", "k", "B", "n_p", "n_g", "sigma0", "theta_seed"),
-    "modules": ("d", "k", "alphabet_size", "T", "alpha_shift",
-                "library_seed", "parser_seed", "chain_seed"),
-    "verify": (),
+    "identify": {"d": int, "k": int, "truth_seed": int},
+    "bandit": {"d": int, "k": int, "spectrum": list, "theta_seed": int, "T": float},
+    "transfer": {"d": int, "k": int, "B": float, "n_p": float, "n_g": float,
+                 "sigma0": float, "theta_seed": int},
+    "modules": {"d": int, "k": int, "alphabet_size": int, "T": int, "alpha_shift": float,
+                "library_seed": int, "parser_seed": int, "chain_seed": int},
+    "verify": {},
 }
+
+# Fields of a scenario's optional "train" object; init_scale may be null.
+TRAIN_KEYS = {"learning_rate": float, "max_iters": float, "grad_tol": float, "init_scale": float}
 
 # Sweep axis -> (command run at each grid point, base key the sweep sets).
 SWEEP_AXES = {
@@ -50,9 +57,19 @@ SWEEP_AXES = {
 }
 
 
+def _has_type(value, kind) -> bool:
+    """Whether a scenario value has the type REQUIRED_KEYS or TRAIN_KEYS
+    names; a bool is not a number."""
+    if kind is list:
+        return isinstance(value, (list, tuple)) and all(_has_type(v, float) for v in value)
+    base = numbers.Integral if kind is int else numbers.Real
+    return isinstance(value, base) and not isinstance(value, bool)
+
+
 def _check_scenario(command: str, scenario: dict) -> None:
-    """Reject a scenario that lacks a key its command needs, or names an
-    unknown sweep axis or verify check, before anything runs."""
+    """Reject a scenario that lacks a key its command needs, holds a value
+    of the wrong type there or in its train fields, or names an unknown sweep
+    axis or verify check, before anything runs."""
     if not isinstance(scenario, dict):
         raise RejectedInput("scenario must be a JSON object")
     where, skip = "scenario", None
@@ -67,6 +84,17 @@ def _check_scenario(command: str, scenario: dict) -> None:
     missing = [key for key in REQUIRED_KEYS[command] if key != skip and key not in scenario]
     if missing:
         raise RejectedInput(f"{where} is missing required key(s): {', '.join(missing)}")
+    wrong = [key for key, kind in REQUIRED_KEYS[command].items()
+             if key != skip and not _has_type(scenario[key], kind)]
+    if command != "verify":
+        train = scenario.get("train", {})
+        if not isinstance(train, dict):
+            raise RejectedInput(f"{where}: train must be a JSON object")
+        wrong += [f"train.{key}" for key, kind in TRAIN_KEYS.items() if key in train
+                  and not (key == "init_scale" and train[key] is None)
+                  and not _has_type(train[key], kind)]
+    if wrong:
+        raise RejectedInput(f"{where} has value(s) of the wrong type: {', '.join(wrong)}")
     if command == "verify":
         checks, names = scenario.get("checks") or [], list(VERIFY_CHECKS)
         if not isinstance(checks, list):
@@ -270,7 +298,7 @@ def run_identify_seed(scenario: dict, seed: int) -> dict:
     sampler_p = sampler_from_dict(scenario.get("sampler", {}), scenario["d"])
     sampler_q = sampler_from_dict(scenario.get("shift", scenario.get("sampler", {})), scenario["d"])
     cfg = train_config_from_dict(scenario.get("train", {}))
-    rows = identify.robust_shift_experiment(
+    rows, fits = identify.robust_shift_experiment(
         truth, sampler_p, sampler_q,
         n_grid=[int(n) for n in scenario.get("n_grid", [scenario.get("n", 2000)])],
         cfg=cfg,
@@ -280,7 +308,7 @@ def run_identify_seed(scenario: dict, seed: int) -> dict:
         noise_kind=scenario.get("noise_kind", "zero"),
         n_eval=int(scenario.get("n_eval", 2000)),
     )
-    return {"rows": rows, "all_hold": int(all(r["holds"] for r in rows))}
+    return {"rows": rows, "fits": fits, "all_hold": int(all(r["holds"] for r in rows))}
 
 
 def run_bandit_seed(scenario: dict, seed: int) -> dict:
@@ -305,6 +333,7 @@ def run_bandit_seed(scenario: dict, seed: int) -> dict:
         "final_cum_regret": float(cum[-1]),
         "regret_bound": bandit.regret_bound(problem, trace.T),
         "committed_arm": [float(v) for v in trace.committed_arm],
+        "fit": trace.fit.diagnostics(),
         "trace_rows": trace_rows,
     }
 
@@ -339,6 +368,7 @@ def run_modules_seed(scenario: dict, seed: int) -> dict:
         true_lib, fitted, parser_true, parser_hat, spec,
         n_mc=int(scenario.get("n_mc", 400)), seed=seed + 20_000,
     )
+    report["fits"] = [[res.diagnostics() for res in coords] for coords in fitted.fits]
     rows = report.pop("rows")
     report["rows"] = rows  # keep rows last for readability in JSON
     return report
@@ -408,6 +438,7 @@ def _check_identification_dominance(scale: float, seed: int) -> CheckResult:
     runs = max(int(5 * scale), 2)
     all_ok = True
     worst = 0.0
+    fits = []
     for r in range(runs):
         data = core.generate_dataset(truth, sampler, 0.0, "zero", n, seed + 100 + r)
         fit = core.train_gd(data, d, k, replace(cfg, seed=seed + 200 + r), theta_max=b.theta_max)
@@ -415,7 +446,8 @@ def _check_identification_dominance(scale: float, seed: int) -> CheckResult:
         verdict = identify.identification_check(truth, fit.net, bound, alpha, b.x_max)
         all_ok = all_ok and verdict.holds and verdict.frob_holds
         worst = max(worst, verdict.measured_sup_gap_sq / verdict.certified_sup_gap_sq)
-    return CheckResult(all_ok, {"worst_ratio": worst, "runs": runs})
+        fits.append(fit.diagnostics())
+    return CheckResult(all_ok, {"worst_ratio": worst, "runs": runs, "fits": fits})
 
 
 def _check_smooth_best_arm(scale: float, seed: int) -> CheckResult:

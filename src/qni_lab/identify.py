@@ -169,12 +169,13 @@ def robust_shift_experiment(
     bounds: core.BoundSpec | None = None,
     alpha: float | None = None,
     n_eval: int = 4000,
-) -> list[dict]:
-    """Train on p, evaluate under q: one row per (n, seed).
+) -> tuple[list[dict], list[dict]]:
+    """Train on p, evaluate under q: one row and one fit record per (n, seed).
 
     Rows carry the empirical loss on a fresh q-sample with noiseless labels
     (a Monte-Carlo estimate of the shifted population loss), the exact sup
-    gap, and the certified bound with its verdict.
+    gap, and the certified bound with its verdict. Fit records carry n, seed
+    and the fit's diagnostics.
     """
     if bounds is None:
         theta_max = truth.frobenius_norm() * 1.5
@@ -182,7 +183,7 @@ def robust_shift_experiment(
         bounds = core.BoundSpec(x_max=x_max, theta_max=theta_max, phi_max=theta_max**2, xi_max=xi_max)
     if alpha is None:
         alpha = resolve_alpha(sampler_p)
-    rows = []
+    rows, fits = [], []
     for n in n_grid:
         for seed in seeds:
             data = core.generate_dataset(truth, sampler_p, xi_max, noise_kind, n, seed)
@@ -202,4 +203,5 @@ def robust_shift_experiment(
                 "certified_bound": verdict.certified_sup_gap_sq,
                 "holds": int(verdict.holds),
             })
-    return rows
+            fits.append({"n": int(n), "seed": int(seed), **fit.diagnostics()})
+    return rows, fits

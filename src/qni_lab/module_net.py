@@ -112,6 +112,7 @@ class ModuleLibrary:
     x_max: float
     k_module: float | None = None  # configured Lipschitz bound on the domain
     eps_f: float | None = None  # uniform sup error vs a reference library, if known
+    fits: tuple = ()  # TrainResult per coordinate net, per module, when fitted
 
     def __post_init__(self):
         mods = tuple(tuple(coord for coord in m) for m in self.modules)
@@ -591,22 +592,22 @@ def fit_library(
     seed: int,
 ) -> ModuleLibrary:
     """Fit every coordinate net of every module on fresh execution pairs
-    (inputs drawn from the cube inscribed in the domain ball)."""
+    (inputs drawn from the cube inscribed in the domain ball); the fits'
+    TrainResults ride along in the library's `fits`."""
     d = true_library.d
     sampler = core.CovariateSampler.uniform_cube(d, true_library.x_max / math.sqrt(d))
-    fitted = []
+    fits = []
     s = seed
     for j in range(true_library.k):
         coords = []
         for c in range(d):
             truth = true_library.modules[j][c]
             data = core.generate_dataset(truth, sampler, xi_max, noise_kind, n_per_coordinate, s)
-            res = core.train_gd(data, d, truth.k, replace(cfg, seed=s + 1))
-            coords.append(res.net)
+            coords.append(core.train_gd(data, d, truth.k, replace(cfg, seed=s + 1)))
             s += 2
-        fitted.append(tuple(coords))
-    lib = ModuleLibrary(tuple(fitted), x_max=true_library.x_max)
-    return lib
+        fits.append(tuple(coords))
+    modules = tuple(tuple(res.net for res in coords) for coords in fits)
+    return ModuleLibrary(modules, x_max=true_library.x_max, fits=tuple(fits))
 
 
 def random_parser(alphabet_size: int, k: int, rng: np.random.Generator) -> Parser:

@@ -10,7 +10,6 @@ identifiable object; all constants used by the bound machinery
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -255,6 +254,15 @@ class TrainResult:
     final_loss: float
     grad_norm: float
 
+    def diagnostics(self) -> dict:
+        """How the fit ended, as run records report it."""
+        return {
+            "iterations": int(self.iterations),
+            "converged": bool(self.converged),
+            "final_loss": float(self.final_loss),
+            "grad_norm": float(self.grad_norm),
+        }
+
 
 # ---------------------------------------------------------------------------
 # model evaluation
@@ -454,35 +462,45 @@ def generate_dataset(
     return Dataset(X, y, provenance)
 
 
-def train_gd(
+def projected_gd(
     data: Dataset,
-    d: int,
-    k: int,
+    theta0: np.ndarray,
     cfg: TrainConfig,
-    theta_max: float | None = None,
+    center: np.ndarray | None = None,
+    radius: float | None = None,
 ) -> TrainResult:
-    """Fit a quadratic net by full-batch gradient descent with a constant step.
+    """Full-batch gradient descent with a constant step, started at theta0.
 
-    Initialization is i.i.d. uniform in [-s, s] with s = init_scale (default
-    0.5/sqrt(k)); exact zero init is a stationary point and is avoided. When
-    theta_max is given, theta is rescaled onto the Frobenius ball after every
-    step. Raises Diverged if the loss exceeds the divergence threshold.
+    When radius is given, the start point and every step are projected onto
+    the Frobenius ball of that radius around center (the origin by default).
+    Stops when ||g|| <= grad_tol, or after a step the projection shortened
+    that moved theta by at most grad_tol * learning_rate (stalled on the
+    boundary); either stop counts as converged. Raises Diverged if the loss
+    exceeds the divergence threshold.
     """
+    theta = np.array(theta0, dtype=float)
     if data.n < 1:
         raise RejectedInput("dataset is empty")
-    if data.d != d:
-        raise RejectedInput(f"dataset dimension {data.d} does not match d={d}")
-    if k < 1:
-        raise RejectedInput("k must be >= 1")
-    rng = np.random.default_rng(cfg.seed)
-    scale = cfg.init_scale if cfg.init_scale is not None else 0.5 / math.sqrt(k)
-    theta = rng.uniform(-scale, scale, size=(d, k))
-    if theta_max is not None and np.linalg.norm(theta) > theta_max:
-        theta *= theta_max / np.linalg.norm(theta)
+    if theta.ndim != 2 or theta.shape[0] != data.d:
+        raise RejectedInput(f"theta0 must have {data.d} rows, got shape {theta.shape}")
+    if radius is not None and radius < 0:
+        raise RejectedInput("radius must be >= 0")
+    c = np.zeros_like(theta) if center is None else np.asarray(center, dtype=float)
 
+    def project(t: np.ndarray) -> tuple[np.ndarray, bool]:
+        if radius is None:
+            return t, False
+        offset = t - c
+        nrm = float(np.linalg.norm(offset))
+        if nrm <= radius:
+            return t, False
+        return c + offset * (radius / nrm), True
+
+    theta, _ = project(theta)
     X, y = data.X, data.y
     n = data.n
     grad_norm = math.inf
+    stalled = False
     it = 0
     for it in range(1, cfg.max_iters + 1):
         p = X @ theta
@@ -494,58 +512,42 @@ def train_gd(
         grad_norm = float(np.linalg.norm(g))
         if grad_norm <= cfg.grad_tol:
             break
-        theta = theta - cfg.learning_rate * g
-        if theta_max is not None:
-            nrm = np.linalg.norm(theta)
-            if nrm > theta_max:
-                theta *= theta_max / nrm
+        step, shortened = project(theta - cfg.learning_rate * g)
+        stalled = shortened and float(np.linalg.norm(step - theta)) <= cfg.grad_tol * cfg.learning_rate
+        theta = step
+        if stalled:
+            break
     net = QuadNet(theta)
     return TrainResult(
         net=net,
-        converged=grad_norm <= cfg.grad_tol,
+        converged=stalled or grad_norm <= cfg.grad_tol,
         iterations=it,
         final_loss=empirical_loss(net, data),
         grad_norm=grad_norm,
     )
 
 
-# ---------------------------------------------------------------------------
-# serialization
+def train_gd(
+    data: Dataset,
+    d: int,
+    k: int,
+    cfg: TrainConfig,
+    theta_max: float | None = None,
+) -> TrainResult:
+    """Fit a quadratic net by projected_gd from a seeded random start, inside
+    the Frobenius ball of radius theta_max around the origin when given.
 
-
-def net_to_json(net: QuadNet) -> str:
-    return json.dumps(
-        {"d": net.d, "k": net.k, "theta": [float(v) for v in net.theta.ravel()]},
-        sort_keys=True,
-    )
-
-
-def net_from_json(text: str) -> QuadNet:
-    obj = json.loads(text)
-    theta = np.asarray(obj["theta"], dtype=float).reshape(obj["d"], obj["k"])
-    return QuadNet(theta)
-
-
-def dataset_to_jsonl(data: Dataset) -> str:
-    lines = [json.dumps({"provenance": data.provenance, "n": data.n, "d": data.d}, sort_keys=True)]
-    for i in range(data.n):
-        lines.append(
-            json.dumps({"x": [float(v) for v in data.X[i]], "y": float(data.y[i])})
-        )
-    return "\n".join(lines) + "\n"
-
-
-def dataset_from_jsonl(text: str) -> Dataset:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise RejectedInput("empty dataset file")
-    header = json.loads(lines[0])
-    rows = [json.loads(ln) for ln in lines[1:]]
-    if len(rows) != header.get("n"):
-        raise RejectedInput("dataset row count does not match header")
-    X = np.array([r["x"] for r in rows], dtype=float)
-    y = np.array([r["y"] for r in rows], dtype=float)
-    return Dataset(X, y, header.get("provenance", {}))
+    Initialization is i.i.d. uniform in [-s, s] with s = init_scale (default
+    0.5/sqrt(k)); exact zero init is a stationary point and is avoided.
+    """
+    if data.d != d:
+        raise RejectedInput(f"dataset dimension {data.d} does not match d={d}")
+    if k < 1:
+        raise RejectedInput("k must be >= 1")
+    rng = np.random.default_rng(cfg.seed)
+    scale = cfg.init_scale if cfg.init_scale is not None else 0.5 / math.sqrt(k)
+    theta0 = rng.uniform(-scale, scale, size=(d, k))
+    return projected_gd(data, theta0, cfg, radius=theta_max)
 
 
 def random_net(d: int, k: int, rng: np.random.Generator, frobenius_norm: float | None = None) -> QuadNet:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import qnn_core as core
-from .errors import AssumptionViolated, Diverged, RejectedInput
+from .errors import AssumptionViolated, RejectedInput
 from .identify import epsilon_bound, resolve_alpha, sup_function_gap
 
 RANK_TOL = 1e-12
@@ -160,49 +160,6 @@ def align(theta: core.QuadNet, theta_prime: core.QuadNet, sigma0: float) -> Alig
     return AlignmentResult(R=r, R_prime=r_prime, aligned_gap=gap)
 
 
-def fit_gold_constrained(
-    data: core.Dataset,
-    theta_hat_p: core.QuadNet,
-    B_hat: float,
-    cfg: core.TrainConfig,
-) -> core.QuadNet:
-    """Projected gradient descent on the gold loss inside the Frobenius ball
-    of radius B_hat around the proxy estimate.
-
-    Starts at the ball center; after every step an offset exceeding B_hat is
-    rescaled onto the surface, so the returned point is always feasible.
-    """
-    if data.n < 1:
-        raise RejectedInput("dataset is empty")
-    if B_hat < 0:
-        raise RejectedInput("B_hat must be >= 0")
-    center = theta_hat_p.theta
-    if B_hat == 0.0:
-        return theta_hat_p
-    theta = center.copy()
-    X, y = data.X, data.y
-    n = data.n
-    for it in range(1, cfg.max_iters + 1):
-        p = X @ theta
-        r = np.einsum("ij,ij->i", p, p) - y
-        loss = float(np.mean(r * r))
-        if not math.isfinite(loss) or loss > core.DIVERGENCE_THRESHOLD:
-            raise Diverged(it, loss)
-        g = (4.0 / n) * (X.T @ (r[:, None] * p))
-        if float(np.linalg.norm(g)) <= cfg.grad_tol:
-            break
-        new_theta = theta - cfg.learning_rate * g
-        offset = new_theta - center
-        nrm = float(np.linalg.norm(offset))
-        if nrm > B_hat:
-            new_theta = center + offset * (B_hat / nrm)
-        if float(np.linalg.norm(new_theta - theta)) <= cfg.grad_tol * cfg.learning_rate:
-            theta = new_theta
-            break
-        theta = new_theta
-    return core.QuadNet(theta)
-
-
 def run_transfer(
     problem: TransferProblem,
     delta: float,
@@ -232,10 +189,11 @@ def run_transfer(
         problem.theta_g_star, problem.sampler_q, problem.xi_max, problem.noise_kind,
         problem.n_g, seed + 2,
     )
-    theta_g = fit_gold_constrained(data_g, fit_p.net, B_hat, cfg)
+    center = fit_p.net.theta
+    fit_g = core.projected_gd(data_g, center, cfg, center=center, radius=B_hat)
 
     proxy_gap = sup_function_gap(fit_p.net, problem.theta_p_star, b.x_max)
-    gold_gap = sup_function_gap(theta_g, problem.theta_g_star, b.x_max)
+    gold_gap = sup_function_gap(fit_g.net, problem.theta_g_star, b.x_max)
     eps_g = gold_epsilon(problem.n_g, problem.d, delta, B_hat, b)
     K = core.lipschitz_constant(b)
     certified = 2.0 * K**2 * eps_g / alpha
@@ -251,4 +209,6 @@ def run_transfer(
         "certified": float(certified),
         "holds": int(gold_gap.sup_gap_sq <= certified),
         "seed": int(seed),
+        "proxy_fit": fit_p.diagnostics(),
+        "gold_fit": fit_g.diagnostics(),
     }

@@ -20,6 +20,9 @@ def read_rows(path: Path):
     return header, lines[1:]
 
 
+FIT_KEYS = {"iterations", "converged", "final_loss", "grad_norm"}
+
+
 def payloads(jsonl: Path):
     out = []
     for line in jsonl.read_text().strip().splitlines():
@@ -80,6 +83,7 @@ def test_bandit_run_trace_schema(tmp_path):
     assert len(rows) == 400
     phases = {r.split(",")[1] for r in rows}
     assert phases <= {"explore", "commit"}
+    assert set(payloads(tmp_path / "runs.jsonl")[0]["payload"]["fit"]) == FIT_KEYS
 
 
 def test_transfer_run_payload_schema(tmp_path):
@@ -89,8 +93,31 @@ def test_transfer_run_payload_schema(tmp_path):
     cfg = harness.ExperimentConfig("transfer", sc, (2,), tmp_path)
     assert harness.run(cfg) == 0
     recs = payloads(tmp_path / "runs.jsonl")
-    assert set(recs[0]["payload"]) == {"n_p", "n_g", "B", "B_hat", "eps_p", "eps_g",
-                                       "proxy_sup_gap", "gold_sup_gap", "certified", "holds", "seed"}
+    assert set(recs[0]["payload"]) == {"n_p", "n_g", "B", "B_hat", "eps_p", "eps_g", "proxy_sup_gap",
+                                       "gold_sup_gap", "certified", "holds", "seed",
+                                       "proxy_fit", "gold_fit"}
+
+
+def test_transfer_payload_reports_unconverged_fits(tmp_path):
+    # lr=50 for 50 iterations neither converges nor diverges; the verdict
+    # still reads "holds", so only the fit records show the fits failed
+    sc = harness.default_scenario("transfer")
+    sc["train"] = {"learning_rate": 50, "max_iters": 50}
+    assert harness.run(harness.ExperimentConfig("transfer", sc, (0,), tmp_path)) == 0
+    payload = payloads(tmp_path / "runs.jsonl")[0]["payload"]
+    for key in ("proxy_fit", "gold_fit"):
+        assert set(payload[key]) == FIT_KEYS
+        assert payload[key]["converged"] is False
+        assert payload[key]["iterations"] == 50
+
+
+def test_fit_diagnostics_reach_runs_jsonl_but_not_csv(tmp_path):
+    cfg = harness.ExperimentConfig("identify", small_identify_scenario(), (3, 1), tmp_path)
+    harness.run(cfg)
+    fits = [f for rec in payloads(tmp_path / "runs.jsonl") for f in rec["payload"]["fits"]]
+    assert [(f["n"], f["seed"]) for f in fits] == [(300, 1), (300, 3)]
+    assert all(set(f) == FIT_KEYS | {"n", "seed"} for f in fits)
+    assert "converged" not in (tmp_path / "identify.csv").read_text()
 
 
 def test_modules_run_csv_schema(tmp_path):
@@ -102,6 +129,9 @@ def test_modules_run_csv_schema(tmp_path):
     header, rows = read_rows(tmp_path / "modules_4.csv")
     assert header == ["word_id", "parse_match", "gap_l2", "bound", "within_bound"]
     assert len(rows) == 60
+    fits = payloads(tmp_path / "runs.jsonl")[0]["payload"]["fits"]
+    assert len(fits) == sc["k"] and all(len(coords) == sc["d"] for coords in fits)
+    assert all(set(f) == FIT_KEYS for coords in fits for f in coords)
 
 
 def test_verify_suite_passes_and_prints(tmp_path, capsys):
@@ -249,6 +279,40 @@ def test_cli_mixture_sampler_without_atoms_exits_2(tmp_path, capsys):
     scenario_path.write_text(json.dumps(scenario))
     assert cli.main(["identify", "--scenario", str(scenario_path), "--out", str(tmp_path / "out")]) == 2
     assert "atoms" in capsys.readouterr().err
+
+
+def write_scenario(tmp_path, scenario):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    return str(path)
+
+
+@pytest.mark.parametrize("command, scenario, wrong", [
+    ("identify", {"d": "3", "k": 6, "truth_seed": 101}, "d"),
+    ("identify", {**harness.default_scenario("identify"), "k": True}, "k"),
+    ("identify", {**harness.default_scenario("identify"), "train": {"learning_rate": "0.1"}},
+     "train.learning_rate"),
+    ("bandit", {**harness.default_scenario("bandit"), "spectrum": [1.0, "a", 0.1]}, "spectrum"),
+    ("transfer", {**harness.default_scenario("transfer"), "train": {"max_iters": False}},
+     "train.max_iters"),
+    ("sweep", {"axis": "T_modules", "grid": [2, 3, 4],
+               "base": {**harness.default_scenario("modules"), "chain_seed": 4.0}}, "chain_seed"),
+])
+def test_cli_wrongly_typed_scenario_value_exits_2(tmp_path, capsys, command, scenario, wrong):
+    status = cli.main([command, "--scenario", write_scenario(tmp_path, scenario),
+                       "--out", str(tmp_path / "out")])
+    assert status == 2
+    assert f"wrong type: {wrong}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_diverged_fit_exits_2(tmp_path, capsys):
+    scenario = {**harness.default_scenario("modules"), "train": {"learning_rate": 50, "max_iters": 50}}
+    status = cli.main(["modules", "--scenario", write_scenario(tmp_path, scenario),
+                       "--out", str(tmp_path / "out")])
+    assert status == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "diverge" in err and "iteration 4" in err
 
 
 def test_sweep_base_may_omit_the_swept_key(tmp_path):

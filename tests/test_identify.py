@@ -257,10 +257,11 @@ def test_robust_shift_experiment_no_shift_matches_population_trend():
     sampler = core.CovariateSampler.uniform_cube(2)
     cfg = core.TrainConfig(learning_rate=0.2, max_iters=2000, grad_tol=1e-8)
     bounds = core.BoundSpec(x_max=sampler.x_max, theta_max=1.5, phi_max=2.25, xi_max=0.05)
-    rows = identify.robust_shift_experiment(
+    rows, fits = identify.robust_shift_experiment(
         truth, sampler, sampler, n_grid=[500], cfg=cfg, seeds=[0, 1],
         xi_max=0.05, noise_kind="uniform", n_eval=4000, bounds=bounds,
     )
+    assert [(f["n"], f["seed"]) for f in fits] == [(r["n"], r["seed"]) for r in rows]
     for row in rows:
         fit_loss = row["emp_loss_q"]
         assert row["holds"] == 1
@@ -285,7 +286,7 @@ def test_robust_shift_adversarial_point_mass():
     fit = core.train_gd(data, 2, 4, core.TrainConfig(learning_rate=0.2, max_iters=2000, grad_tol=1e-9, seed=14))
     rep = identify.sup_function_gap(fit.net, truth, sampler.x_max)
     point = core.CovariateSampler.point_mass(rep.witness_x)
-    rows = identify.robust_shift_experiment(
+    rows, _ = identify.robust_shift_experiment(
         truth, sampler, point, n_grid=[400], cfg=core.TrainConfig(learning_rate=0.2, max_iters=2000, grad_tol=1e-9),
         seeds=[13], xi_max=0.05, noise_kind="uniform", n_eval=50,
         bounds=core.BoundSpec(x_max=sampler.x_max, theta_max=2.0, phi_max=4.0, xi_max=0.05),
@@ -302,7 +303,7 @@ def test_robust_shift_gap_trend_is_nonincreasing():
     cfg = core.TrainConfig(learning_rate=0.2, max_iters=2500, grad_tol=1e-9)
     seeds = list(range(20))
     n_grid = [250, 500, 1000, 2000, 4000]
-    rows = identify.robust_shift_experiment(
+    rows, _ = identify.robust_shift_experiment(
         truth, sampler, sampler, n_grid=n_grid, cfg=cfg, seeds=seeds,
         xi_max=0.1, noise_kind="uniform", n_eval=10,
     )

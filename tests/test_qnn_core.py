@@ -266,6 +266,64 @@ def test_train_gd_projection_respects_theta_max():
     assert res.net.frobenius_norm() <= 0.5 + 1e-12
 
 
+def test_projected_gd_zero_radius_returns_center():
+    rng = np.random.default_rng(4)
+    center = core.random_net(2, 3, rng)
+    data = core.generate_dataset(core.random_net(2, 3, rng), core.CovariateSampler.uniform_cube(2),
+                                 0.0, "zero", 50, 5)
+    res = core.projected_gd(data, center.theta, core.TrainConfig(), center=center.theta, radius=0.0)
+    assert np.array_equal(res.net.theta, center.theta)
+    assert res.converged and res.iterations == 1
+
+
+def test_projected_gd_huge_radius_matches_train_gd():
+    rng = np.random.default_rng(5)
+    truth = core.random_net(2, 3, rng, 1.0)
+    sampler = core.CovariateSampler.uniform_cube(2)
+    data = core.generate_dataset(truth, sampler, 0.0, "zero", 200, 6)
+    cfg = core.TrainConfig(learning_rate=0.2, max_iters=6000, grad_tol=1e-11, seed=7)
+    center = core.random_net(2, 3, rng, 0.3)
+    constrained = core.projected_gd(data, center.theta, cfg, center=center.theta, radius=100.0)
+    free = core.train_gd(data, 2, 3, cfg)
+    assert constrained.final_loss <= free.final_loss + 1e-6
+    assert abs(constrained.final_loss - free.final_loss) <= 1e-6
+
+
+def test_projected_gd_feasibility():
+    rng = np.random.default_rng(6)
+    truth = core.random_net(3, 4, rng, 1.5)
+    sampler = core.CovariateSampler.uniform_cube(3)
+    data = core.generate_dataset(truth, sampler, 0.05, "uniform", 100, 8)
+    for b_hat in (0.01, 0.1, 0.5):
+        center = core.random_net(3, 4, rng, 0.5)
+        res = core.projected_gd(data, center.theta,
+                                core.TrainConfig(learning_rate=0.1, max_iters=500, grad_tol=1e-9),
+                                center=center.theta, radius=b_hat)
+        assert float(np.linalg.norm(res.net.theta - center.theta)) <= b_hat + 1e-10
+
+
+def test_projected_gd_stops_on_the_boundary_when_the_minimum_lies_outside():
+    # the truth has norm 2, so every minimizer of the noiseless loss lies
+    # outside the ball of radius 0.5 and the fit must stall on its surface
+    rng = np.random.default_rng(22)
+    truth = core.random_net(2, 3, rng, 2.0)
+    data = core.generate_dataset(truth, core.CovariateSampler.uniform_cube(2), 0.0, "zero", 100, 10)
+    cfg = core.TrainConfig(learning_rate=0.2, max_iters=5000, grad_tol=1e-8)
+    res = core.projected_gd(data, 0.1 * truth.theta, cfg, radius=0.5)
+    assert res.converged and res.iterations < cfg.max_iters
+    assert res.grad_norm > cfg.grad_tol
+    assert res.net.frobenius_norm() == pytest.approx(0.5, abs=1e-12)
+
+
+def test_projected_gd_rejects_bad_arguments():
+    data = core.generate_dataset(core.QuadNet(np.ones((2, 1))), core.CovariateSampler.uniform_cube(2),
+                                 0.0, "zero", 10, 0)
+    with pytest.raises(RejectedInput):
+        core.projected_gd(data, np.ones((3, 1)), core.TrainConfig())
+    with pytest.raises(RejectedInput):
+        core.projected_gd(data, np.ones((2, 1)), core.TrainConfig(), radius=-1.0)
+
+
 # ---------------------------------------------------------------------------
 # dataset generation
 
@@ -300,22 +358,6 @@ def test_dataset_covariates_within_support_radius():
     rng = np.random.default_rng(19)
     X = sampler.sample(1000, rng)
     assert np.linalg.norm(X, axis=1).max() <= sampler.x_max + 1e-12
-
-
-def test_dataset_jsonl_roundtrip():
-    rng = np.random.default_rng(20)
-    truth = core.random_net(2, 2, rng)
-    data = core.generate_dataset(truth, core.CovariateSampler.uniform_cube(2), 0.1, "uniform", 10, 14)
-    again = core.dataset_from_jsonl(core.dataset_to_jsonl(data))
-    assert np.allclose(again.X, data.X) and np.allclose(again.y, data.y)
-    assert again.provenance == data.provenance
-
-
-def test_net_json_roundtrip():
-    rng = np.random.default_rng(21)
-    net = core.random_net(3, 5, rng)
-    again = core.net_from_json(core.net_to_json(net))
-    assert np.array_equal(again.theta, net.theta)
 
 
 # ---------------------------------------------------------------------------

@@ -189,44 +189,6 @@ def test_align_warns_below_sigma0_and_rejects_rank_deficiency():
 
 
 # ---------------------------------------------------------------------------
-# constrained fitting
-
-
-def test_fit_gold_constrained_zero_radius_returns_center():
-    rng = np.random.default_rng(4)
-    center = core.random_net(2, 3, rng)
-    data = core.generate_dataset(core.random_net(2, 3, rng), core.CovariateSampler.uniform_cube(2),
-                                 0.0, "zero", 50, 5)
-    out = transfer.fit_gold_constrained(data, center, 0.0, core.TrainConfig())
-    assert np.array_equal(out.theta, center.theta)
-
-
-def test_fit_gold_constrained_huge_radius_matches_unconstrained():
-    rng = np.random.default_rng(5)
-    truth = core.random_net(2, 3, rng, 1.0)
-    sampler = core.CovariateSampler.uniform_cube(2)
-    data = core.generate_dataset(truth, sampler, 0.0, "zero", 200, 6)
-    cfg = core.TrainConfig(learning_rate=0.2, max_iters=6000, grad_tol=1e-11, seed=7)
-    center = core.random_net(2, 3, rng, 0.3)
-    constrained = transfer.fit_gold_constrained(data, center, 100.0, cfg)
-    free = core.train_gd(data, 2, 3, cfg)
-    assert core.empirical_loss(constrained, data) <= core.empirical_loss(free.net, data) + 1e-6
-    assert abs(core.empirical_loss(constrained, data) - core.empirical_loss(free.net, data)) <= 1e-6
-
-
-def test_fit_gold_constrained_feasibility():
-    rng = np.random.default_rng(6)
-    truth = core.random_net(3, 4, rng, 1.5)
-    sampler = core.CovariateSampler.uniform_cube(3)
-    data = core.generate_dataset(truth, sampler, 0.05, "uniform", 100, 8)
-    for b_hat in (0.01, 0.1, 0.5):
-        center = core.random_net(3, 4, rng, 0.5)
-        out = transfer.fit_gold_constrained(data, center, b_hat,
-                                            core.TrainConfig(learning_rate=0.1, max_iters=500, grad_tol=1e-9))
-        assert float(np.linalg.norm(out.theta - center.theta)) <= b_hat + 1e-10
-
-
-# ---------------------------------------------------------------------------
 # full pipeline
 
 
@@ -269,8 +231,10 @@ def test_run_transfer_report_schema_and_certified_dominance():
     problem = make_transfer_problem(rng, n_p=3000, n_g=25, xi_max=0.05, noise_kind="uniform")
     cfg = core.TrainConfig(learning_rate=0.15, max_iters=2000, grad_tol=1e-8)
     report = transfer.run_transfer(problem, 0.1, cfg, seed=10)
-    assert set(report) == {"n_p", "n_g", "B", "B_hat", "eps_p", "eps_g",
-                           "proxy_sup_gap", "gold_sup_gap", "certified", "holds", "seed"}
+    assert set(report) == {"n_p", "n_g", "B", "B_hat", "eps_p", "eps_g", "proxy_sup_gap",
+                           "gold_sup_gap", "certified", "holds", "seed", "proxy_fit", "gold_fit"}
+    for fit in (report["proxy_fit"], report["gold_fit"]):
+        assert set(fit) == {"iterations", "converged", "final_loss", "grad_norm"}
     assert report["holds"] == 1
     assert report["B_hat"] >= report["B"]
 
