@@ -45,8 +45,23 @@ REQUIRED_KEYS = {
     "verify": {},
 }
 
-# Fields of a scenario's optional "train" object; init_scale may be null.
+# Optional scenario keys, checked when present, with the same types.
+OPTIONAL_KEYS = {
+    "scale": float, "n_eval": float, "n_grid": list, "n": float, "n_train": float, "n_mc": float,
+    "n_parser_words": float, "trace_stride": float, "delta": float, "xi_max": float,
+    "truth_norm": float, "m_scale": float, "x_max": float, "lipschitz_target": float,
+    "width": int,
+}
+
+# Fields of a scenario's optional "train" object and of its sampler objects.
 TRAIN_KEYS = {"learning_rate": float, "max_iters": float, "grad_tol": float, "init_scale": float}
+SAMPLER_KEYS = {"half_width": float}
+
+# Keys that may be null, meaning "use the default".
+NULLABLE_KEYS = ("init_scale", "width")
+
+# Seeds of the random generators; numpy refuses negative ones.
+SEED_KEYS = ("truth_seed", "theta_seed", "library_seed", "parser_seed", "chain_seed")
 
 # Sweep axis -> (command run at each grid point, base key the sweep sets).
 SWEEP_AXES = {
@@ -58,18 +73,26 @@ SWEEP_AXES = {
 
 
 def _has_type(value, kind) -> bool:
-    """Whether a scenario value has the type REQUIRED_KEYS or TRAIN_KEYS
-    names; a bool is not a number."""
+    """Whether a scenario value has the type a key table names; a bool is
+    not a number."""
     if kind is list:
         return isinstance(value, (list, tuple)) and all(_has_type(v, float) for v in value)
     base = numbers.Integral if kind is int else numbers.Real
     return isinstance(value, base) and not isinstance(value, bool)
 
 
+def _wrong_types(table: dict, values: dict, prefix: str = "") -> list[str]:
+    """Keys of table present in values whose value has the wrong type."""
+    return [prefix + key for key, kind in table.items() if key in values
+            and not (key in NULLABLE_KEYS and values[key] is None)
+            and not _has_type(values[key], kind)]
+
+
 def _check_scenario(command: str, scenario: dict) -> None:
     """Reject a scenario that lacks a key its command needs, holds a value
-    of the wrong type there or in its train fields, or names an unknown sweep
-    axis or verify check, before anything runs."""
+    of the wrong type (in a required or optional key, its train fields or
+    its samplers) or a negative seed, or names an unknown sweep axis or
+    verify check, before anything runs."""
     if not isinstance(scenario, dict):
         raise RejectedInput("scenario must be a JSON object")
     where, skip = "scenario", None
@@ -81,20 +104,24 @@ def _check_scenario(command: str, scenario: dict) -> None:
         scenario, where = scenario.get("base", {}), "sweep base scenario"
         if not isinstance(scenario, dict):
             raise RejectedInput(f"{where} must be a JSON object")
-    missing = [key for key in REQUIRED_KEYS[command] if key != skip and key not in scenario]
+    required = {key: kind for key, kind in REQUIRED_KEYS[command].items() if key != skip}
+    missing = [key for key in required if key not in scenario]
     if missing:
         raise RejectedInput(f"{where} is missing required key(s): {', '.join(missing)}")
-    wrong = [key for key, kind in REQUIRED_KEYS[command].items()
-             if key != skip and not _has_type(scenario[key], kind)]
+    wrong = _wrong_types({**required, **OPTIONAL_KEYS}, scenario)
+    nested = [("sampler", SAMPLER_KEYS), ("shift", SAMPLER_KEYS), ("shift_sampler", SAMPLER_KEYS)]
     if command != "verify":
-        train = scenario.get("train", {})
-        if not isinstance(train, dict):
-            raise RejectedInput(f"{where}: train must be a JSON object")
-        wrong += [f"train.{key}" for key, kind in TRAIN_KEYS.items() if key in train
-                  and not (key == "init_scale" and train[key] is None)
-                  and not _has_type(train[key], kind)]
+        nested.append(("train", TRAIN_KEYS))
+    for name, table in nested:
+        value = scenario.get(name, {})
+        if not isinstance(value, dict):
+            raise RejectedInput(f"{where}: {name} must be a JSON object")
+        wrong += _wrong_types(table, value, f"{name}.")
     if wrong:
         raise RejectedInput(f"{where} has value(s) of the wrong type: {', '.join(wrong)}")
+    negative = [key for key in SEED_KEYS if _has_type(scenario.get(key), int) and scenario[key] < 0]
+    if negative:
+        raise RejectedInput(f"{where} has negative seed(s): {', '.join(negative)}")
     if command == "verify":
         checks, names = scenario.get("checks") or [], list(VERIFY_CHECKS)
         if not isinstance(checks, list):
@@ -119,6 +146,8 @@ class ExperimentConfig:
             raise RejectedInput(f"unknown command {self.command!r}")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise RejectedInput("seeds must be nonempty and distinct")
+        if min(self.seeds) < 0:
+            raise RejectedInput("seeds must be >= 0")
         if self.parallelism < 1:
             raise RejectedInput("parallelism must be >= 1")
         _check_scenario(self.command, self.scenario)

@@ -146,13 +146,13 @@ def identification_check(
     )
 
 
-def resolve_alpha(sampler: core.CovariateSampler, n_mc: int = 200_000, n_directions: int = 30, seed: int = 0) -> float:
+def resolve_alpha(sampler: core.CovariateSampler) -> float:
     """Curvature constant for a sampler: stated closed form if one exists,
-    otherwise the Monte-Carlo estimate."""
+    otherwise the exact population constant."""
     try:
         return core.nominal_alpha(sampler)
     except RejectedInput:
-        return core.estimate_alpha(sampler, n_mc, n_directions, seed)
+        return core.exact_alpha(sampler)
 
 
 def robust_shift_experiment(

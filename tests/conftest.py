@@ -50,3 +50,32 @@ def power_iteration_extreme(delta: np.ndarray, iters: int = 500, seed: int = 0) 
             return 0.0
         v = w / nrm
     return float(abs(v @ delta @ v))
+
+
+def reference_projected_gd(data: core.Dataset, theta0: np.ndarray, cfg: core.TrainConfig,
+                           center: np.ndarray | None = None, radius: float | None = None):
+    """Per-sample projected GD: the same steps and stop rules as
+    core.projected_gd, with every gradient taken by core.gradient over all n
+    rows instead of from the sample's moments. Returns (theta, iterations,
+    converged)."""
+    c = np.zeros_like(theta0) if center is None else center
+
+    def project(t):
+        offset = t - c
+        nrm = float(np.linalg.norm(offset))
+        if radius is None or nrm <= radius:
+            return t, False
+        return c + offset * (radius / nrm), True
+
+    theta, _ = project(np.array(theta0, dtype=float))
+    for it in range(1, cfg.max_iters + 1):
+        g = core.gradient(core.QuadNet(theta), data)
+        if float(np.linalg.norm(g)) <= cfg.grad_tol:
+            return theta, it, True
+        step, shortened = project(theta - cfg.learning_rate * g)
+        moved = float(np.linalg.norm(step - theta))
+        theta = step
+        if shortened and moved <= cfg.grad_tol * cfg.learning_rate:
+            return theta, it, True
+    g = core.gradient(core.QuadNet(theta), data)
+    return theta, cfg.max_iters, float(np.linalg.norm(g)) <= cfg.grad_tol

@@ -297,12 +297,49 @@ def write_scenario(tmp_path, scenario):
      "train.max_iters"),
     ("sweep", {"axis": "T_modules", "grid": [2, 3, 4],
                "base": {**harness.default_scenario("modules"), "chain_seed": 4.0}}, "chain_seed"),
+    ("verify", {"scale": "abc"}, "scale"),
+    ("identify", {**harness.default_scenario("identify"), "n_eval": "x"}, "n_eval"),
+    ("identify", {**harness.default_scenario("identify"), "n_grid": [500, None]}, "n_grid"),
+    ("bandit", {**harness.default_scenario("bandit"), "trace_stride": None}, "trace_stride"),
+    ("modules", {**harness.default_scenario("modules"), "width": 2.5}, "width"),
+    ("transfer", {**harness.default_scenario("transfer"),
+                  "shift_sampler": {"kind": "uniform_cube", "half_width": "0.5"}},
+     "shift_sampler.half_width"),
 ])
 def test_cli_wrongly_typed_scenario_value_exits_2(tmp_path, capsys, command, scenario, wrong):
     status = cli.main([command, "--scenario", write_scenario(tmp_path, scenario),
                        "--out", str(tmp_path / "out")])
     assert status == 2
     assert f"wrong type: {wrong}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_optional_keys_may_be_null_where_null_means_the_default(tmp_path):
+    scenario = {**harness.default_scenario("modules"), "width": None,
+                "train": {"learning_rate": 0.15, "init_scale": None}}
+    harness.ExperimentConfig("modules", scenario, (0,), tmp_path)
+
+
+@pytest.mark.parametrize("command, key", [
+    ("identify", "truth_seed"),
+    ("bandit", "theta_seed"),
+    ("transfer", "theta_seed"),
+    ("modules", "library_seed"),
+    ("modules", "parser_seed"),
+    ("modules", "chain_seed"),
+])
+def test_cli_negative_scenario_seed_exits_2(tmp_path, capsys, command, key):
+    scenario = {**harness.default_scenario(command), key: -1}
+    status = cli.main([command, "--scenario", write_scenario(tmp_path, scenario),
+                       "--out", str(tmp_path / "out")])
+    assert status == 2
+    assert f"negative seed(s): {key}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_negative_run_seed_exits_2(tmp_path, capsys):
+    assert cli.main(["identify", "--seeds=1,-1", "--out", str(tmp_path / "out")]) == 2
+    assert "seeds must be >= 0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -251,6 +251,17 @@ def test_empirical_loss_concentration_replicates():
     assert failures <= delta * replicates
 
 
+def test_resolve_alpha_is_the_stated_or_the_exact_population_constant():
+    assert identify.resolve_alpha(core.CovariateSampler.uniform_cube(3)) == 1.0 / 180.0
+    # a 10-d cube of half-width 0.3 has no stated constant; its exact one is
+    # 4 h^4 / 45, about half the random-direction Monte-Carlo estimate
+    cube = core.CovariateSampler.uniform_cube(10, 0.3)
+    assert identify.resolve_alpha(cube) == pytest.approx(4.0 * 0.3**4 / 45.0)
+    assert identify.resolve_alpha(core.CovariateSampler.unit_sphere(4)) == pytest.approx(2.0 / 24.0)
+    point = core.CovariateSampler.point_mass(np.array([0.5, 0.5]))
+    assert identify.resolve_alpha(point) == pytest.approx(0.0, abs=1e-15)
+
+
 def test_robust_shift_experiment_no_shift_matches_population_trend():
     rng = np.random.default_rng(11)
     truth = core.random_net(2, 4, rng, 1.0)

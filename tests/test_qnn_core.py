@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import finite_difference_gradient, random_orthogonal, random_symmetric
+from conftest import (
+    finite_difference_gradient,
+    random_orthogonal,
+    random_symmetric,
+    reference_projected_gd,
+)
 from qni_lab import qnn_core as core
 from qni_lab.errors import Diverged, RejectedInput
 
@@ -324,6 +329,42 @@ def test_projected_gd_rejects_bad_arguments():
         core.projected_gd(data, np.ones((2, 1)), core.TrainConfig(), radius=-1.0)
 
 
+# n = 1, n below one statistics block, n = 2500 (not a multiple of the block
+# size), d in {2, 3, 10}, free and projected fits, stopped at max_iters, on
+# the gradient tolerance and on the boundary
+@pytest.mark.parametrize("n, d, k, radius, lr, max_iters", [
+    (1, 2, 3, None, 0.2, 300),
+    (300, 2, 3, None, 0.5, 8000),
+    (700, 3, 6, None, 0.1, 400),
+    (2500, 10, 12, None, 0.5, 150),
+    (2500, 3, 4, 0.5, 0.2, 3000),
+])
+def test_projected_gd_matches_per_sample_reference(n, d, k, radius, lr, max_iters):
+    rng = np.random.default_rng(n + d)
+    truth = core.random_net(d, k, rng, 1.0 if radius is None else 2.0)
+    data = core.generate_dataset(truth, core.CovariateSampler.uniform_cube(d), 0.01, "uniform", n, 3)
+    cfg = core.TrainConfig(learning_rate=lr, max_iters=max_iters, grad_tol=1e-8)
+    theta0 = rng.uniform(-0.3, 0.3, size=(d, k))
+    center = None if radius is None else theta0  # the ball around the start, as for the gold fit
+    res = core.projected_gd(data, theta0, cfg, center=center, radius=radius)
+    theta, iterations, converged = reference_projected_gd(data, theta0, cfg, center=center, radius=radius)
+    assert np.max(np.abs(res.net.theta - theta)) <= 1e-10
+    assert (res.iterations, res.converged) == (iterations, converged)
+    assert res.final_loss == core.empirical_loss(res.net, data)
+
+
+@pytest.mark.parametrize("radius", [None, 0.2])
+def test_projected_gd_grad_norm_is_taken_at_the_returned_net(radius):
+    rng = np.random.default_rng(23)
+    truth = core.random_net(3, 4, rng, 1.0)
+    data = core.generate_dataset(truth, core.CovariateSampler.uniform_cube(3), 0.0, "zero", 500, 4)
+    res = core.projected_gd(data, rng.uniform(-0.5, 0.5, size=(3, 4)),
+                            core.TrainConfig(learning_rate=0.3, max_iters=1), radius=radius)
+    expected = float(np.linalg.norm(core.gradient(res.net, data)))
+    assert res.grad_norm == pytest.approx(expected, rel=1e-10)
+    assert not res.converged
+
+
 # ---------------------------------------------------------------------------
 # dataset generation
 
@@ -421,6 +462,68 @@ def test_exact_alpha_values():
     assert core.exact_alpha(core.CovariateSampler.uniform_cube(3)) == pytest.approx(1.0 / 180.0)
     for d in (2, 3, 4):
         assert core.exact_alpha(core.CovariateSampler.uniform_scaled(d)) == pytest.approx(4.0 / (45.0 * d * d))
+
+
+def second_moment_gram(sampler):
+    """E[(x^T B_a x)(x^T B_b x)] over an orthonormal basis B of the symmetric
+    matrices, by polarization of quadratic_form_second_moment_exact."""
+    d = sampler.d
+    basis = []
+    for i in range(d):
+        for j in range(i, d):
+            e = np.zeros((d, d))
+            e[i, j] = e[j, i] = 1.0
+            basis.append(e / np.linalg.norm(e))
+    q = lambda m: core.quadratic_form_second_moment_exact(sampler, m)
+    return np.array([[(q(a + b) - q(a - b)) / 4.0 for b in basis] for a in basis]), basis
+
+
+def mixture_sampler(d, n_atoms, seed):
+    rng = np.random.default_rng(seed)
+    return core.CovariateSampler("custom_mixture", d, atoms=rng.standard_normal((n_atoms, d)),
+                                 weights=rng.uniform(0.1, 1.0, n_atoms))
+
+
+@pytest.mark.parametrize("sampler", [
+    core.CovariateSampler.uniform_cube(3, 0.3),
+    core.CovariateSampler.uniform_cube(10, 0.3),
+    core.CovariateSampler.uniform_cube(4, 1.5),
+    mixture_sampler(2, 5, 0),
+    mixture_sampler(3, 12, 1),
+], ids=["cube3", "cube10", "cube4-wide", "mixture2", "mixture3"])
+def test_exact_alpha_is_the_smallest_second_moment(sampler):
+    alpha = core.exact_alpha(sampler)
+    gram, basis = second_moment_gram(sampler)
+    w, v = np.linalg.eigh(gram)
+    delta = sum(c * b for c, b in zip(v[:, 0], basis))
+    assert alpha == pytest.approx(w[0], rel=1e-9)
+    assert core.quadratic_form_second_moment_exact(sampler, delta) == pytest.approx(alpha, rel=1e-9)
+    assert core.estimate_alpha(sampler, 50_000, 20, 0) >= alpha
+
+
+@pytest.mark.parametrize("d", [2, 3, 10])
+def test_exact_alpha_unit_sphere(d):
+    sampler = core.CovariateSampler.unit_sphere(d)
+    alpha = core.exact_alpha(sampler)
+    assert alpha == pytest.approx(2.0 / (d * (d + 2)))
+    # every traceless direction attains the minimum
+    delta = np.diag([1.0, -1.0] + [0.0] * (d - 2)) / math.sqrt(2.0)
+    X = sampler.sample(200_000, np.random.default_rng(d))
+    vals = np.einsum("ni,ij,nj->n", X, delta, X) ** 2
+    se = float(np.std(vals)) / math.sqrt(vals.size)
+    assert abs(float(np.mean(vals)) - alpha) <= 4 * se
+    assert core.estimate_alpha(sampler, 50_000, 20, 0) >= alpha
+
+
+def test_mixture_weights_must_not_all_be_zero():
+    with pytest.raises(RejectedInput):
+        core.CovariateSampler("custom_mixture", 2, atoms=np.ones((2, 2)), weights=np.zeros(2))
+
+
+def test_exact_alpha_point_mass():
+    for x0 in ([1.0, 0.0], [0.3, -1.2, 0.5]):
+        assert core.exact_alpha(core.CovariateSampler.point_mass(np.array(x0))) == pytest.approx(0.0, abs=1e-15)
+    assert core.exact_alpha(core.CovariateSampler.point_mass(np.array([2.0]))) == pytest.approx(16.0)
 
 
 def test_estimate_alpha_scaled_uniform_brackets():
