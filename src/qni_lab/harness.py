@@ -16,6 +16,7 @@ import json
 import math
 import numbers
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -32,36 +33,54 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
-# Scenario keys each command reads without a default, with the type each
-# value must have: int, float (any real number) or list (of real numbers).
-# Counts the builders pass through int() are real numbers.
+
+# Every scenario key the builders read, top level or nested, but the free-form
+# ones (kind, atoms, weights, noise_kind, checks, require_holds). kind: int,
+# float (any real; counts the builders pass through int() are reals), list (a
+# nonempty list of reals) or dict (a nested object). low: lower bound,
+# inclusive for an int, exclusive for a real or a list's entries; None for
+# none. default: None allows null, meaning the default (a null shift sampler
+# is the sampler, a null n_grid is [n]); NO_DEFAULT marks a required key.
+Key = namedtuple("Key", "kind low default")
+NO_DEFAULT = object()
+SCENARIO_KEYS = {
+    # sizes and seeds (numpy refuses negative seeds)
+    "d": Key(int, 1, NO_DEFAULT), "k": Key(int, 1, NO_DEFAULT),
+    "alphabet_size": Key(int, 1, NO_DEFAULT), "width": Key(int, 1, None),
+    "truth_seed": Key(int, 0, NO_DEFAULT), "theta_seed": Key(int, 0, NO_DEFAULT),
+    "library_seed": Key(int, 0, NO_DEFAULT), "parser_seed": Key(int, 0, NO_DEFAULT),
+    "chain_seed": Key(int, 0, NO_DEFAULT),
+    # counts
+    "T": Key(float, 0, NO_DEFAULT), "n_p": Key(float, 0, NO_DEFAULT),
+    "n_g": Key(float, 0, NO_DEFAULT), "grid": Key(list, 0, NO_DEFAULT),
+    "n": Key(float, 0, 2000), "n_grid": Key(list, 0, None), "n_eval": Key(float, 0, 2000),
+    "n_train": Key(float, 0, 400), "n_parser_words": Key(float, 0, 300),
+    "n_mc": Key(float, 0, 400), "trace_stride": Key(float, 0, 1),
+    # real parameters
+    "B": Key(float, None, NO_DEFAULT), "sigma0": Key(float, 0, NO_DEFAULT),
+    "spectrum": Key(list, None, NO_DEFAULT), "alpha_shift": Key(float, None, NO_DEFAULT),
+    "xi_max": Key(float, None, 0.0), "delta": Key(float, 0, 0.1),
+    "truth_norm": Key(float, 0, 1.0), "M": Key(float, 0, None), "m_scale": Key(float, 0, 1.0),
+    "x_max": Key(float, 0, 1.0), "lipschitz_target": Key(float, 0, 0.9),
+    "scale": Key(float, 0, 1.0),
+    # nested objects, and the fields of train and of the sampler objects
+    "train": Key(dict, None, {}), "sampler": Key(dict, None, {}),
+    "shift": Key(dict, None, None), "shift_sampler": Key(dict, None, None),
+    "learning_rate": Key(float, 0, 0.1), "max_iters": Key(float, 0, 3000),
+    "grad_tol": Key(float, 0, 1e-7), "init_scale": Key(float, 0, None),
+    "half_width": Key(float, 0, 0.5),
+}
+
+# Keys each command requires (a sweep's base scenario: those of the command
+# its axis runs, less the key the sweep sets).
 REQUIRED_KEYS = {
-    "identify": {"d": int, "k": int, "truth_seed": int},
-    "bandit": {"d": int, "k": int, "spectrum": list, "theta_seed": int, "T": float},
-    "transfer": {"d": int, "k": int, "B": float, "n_p": float, "n_g": float,
-                 "sigma0": float, "theta_seed": int},
-    "modules": {"d": int, "k": int, "alphabet_size": int, "T": int, "alpha_shift": float,
-                "library_seed": int, "parser_seed": int, "chain_seed": int},
-    "verify": {},
+    "identify": ("d", "k", "truth_seed"),
+    "bandit": ("d", "k", "spectrum", "theta_seed", "T"),
+    "transfer": ("d", "k", "B", "n_p", "n_g", "sigma0", "theta_seed"),
+    "modules": ("d", "k", "alphabet_size", "T", "alpha_shift",
+                "library_seed", "parser_seed", "chain_seed"),
+    "verify": (),
 }
-
-# Optional scenario keys, checked when present, with the same types.
-OPTIONAL_KEYS = {
-    "scale": float, "n_eval": float, "n_grid": list, "n": float, "n_train": float, "n_mc": float,
-    "n_parser_words": float, "trace_stride": float, "delta": float, "xi_max": float,
-    "truth_norm": float, "m_scale": float, "x_max": float, "lipschitz_target": float,
-    "width": int,
-}
-
-# Fields of a scenario's optional "train" object and of its sampler objects.
-TRAIN_KEYS = {"learning_rate": float, "max_iters": float, "grad_tol": float, "init_scale": float}
-SAMPLER_KEYS = {"half_width": float}
-
-# Keys that may be null, meaning "use the default".
-NULLABLE_KEYS = ("init_scale", "width")
-
-# Seeds of the random generators; numpy refuses negative ones.
-SEED_KEYS = ("truth_seed", "theta_seed", "library_seed", "parser_seed", "chain_seed")
 
 # Sweep axis -> (command run at each grid point, base key the sweep sets).
 SWEEP_AXES = {
@@ -72,56 +91,66 @@ SWEEP_AXES = {
 }
 
 
+def _value(spec: dict, key: str):
+    """A scenario (or nested object) value, or its key's default."""
+    return spec.get(key, SCENARIO_KEYS[key].default)
+
+
 def _has_type(value, kind) -> bool:
-    """Whether a scenario value has the type a key table names; a bool is
-    not a number."""
+    """Whether a scenario value has the type a Key names; a bool is not a number."""
     if kind is list:
-        return isinstance(value, (list, tuple)) and all(_has_type(v, float) for v in value)
-    base = numbers.Integral if kind is int else numbers.Real
+        return isinstance(value, (list, tuple)) and len(value) > 0 and all(_has_type(v, float) for v in value)
+    base = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
     return isinstance(value, base) and not isinstance(value, bool)
 
 
-def _wrong_types(table: dict, values: dict, prefix: str = "") -> list[str]:
-    """Keys of table present in values whose value has the wrong type."""
-    return [prefix + key for key, kind in table.items() if key in values
-            and not (key in NULLABLE_KEYS and values[key] is None)
-            and not _has_type(values[key], kind)]
+def _bad_values(values: dict, prefix: str = "") -> list[str]:
+    """What is wrong with each value in values, nested objects included."""
+    bad = []
+    for key, value in values.items():
+        spec, name = SCENARIO_KEYS.get(key), prefix + key
+        if spec is None or (value is None and spec.default is None):
+            continue
+        strict = spec.kind is not int
+        if not _has_type(value, spec.kind):
+            bad.append(f"wrong type: {name}")
+        elif spec.kind is dict:
+            bad += _bad_values(value, name + ".")
+        elif spec.low is not None and not all(
+            v > spec.low if strict else v >= spec.low for v in (value if spec.kind is list else [value])
+        ):
+            bad.append(f"out of range: {name} must be {'>' if strict else '>='} {spec.low}")
+    return bad
 
 
 def _check_scenario(command: str, scenario: dict) -> None:
     """Reject a scenario that lacks a key its command needs, holds a value
-    of the wrong type (in a required or optional key, its train fields or
-    its samplers) or a negative seed, or names an unknown sweep axis or
-    verify check, before anything runs."""
+    of the wrong type or out of range (checked against SCENARIO_KEYS, in
+    nested objects too), asks for a rank-d net with k < d, holds a sampler
+    that cannot be built, or names an unknown sweep axis or verify check,
+    before anything runs."""
     if not isinstance(scenario, dict):
         raise RejectedInput("scenario must be a JSON object")
-    where, skip = "scenario", None
+    where, skip, bad = "scenario", None, []
     if command == "sweep":
         axis = scenario.get("axis")
         if axis not in SWEEP_AXES:
             raise RejectedInput(f"unknown sweep axis {axis!r}")
         command, skip = SWEEP_AXES[axis]
-        scenario, where = scenario.get("base", {}), "sweep base scenario"
+        bad, scenario, where = _bad_values(scenario), scenario.get("base", {}), "sweep base scenario"
         if not isinstance(scenario, dict):
             raise RejectedInput(f"{where} must be a JSON object")
-    required = {key: kind for key, kind in REQUIRED_KEYS[command].items() if key != skip}
-    missing = [key for key in required if key not in scenario]
+    missing = [key for key in REQUIRED_KEYS[command] if key != skip and key not in scenario]
     if missing:
         raise RejectedInput(f"{where} is missing required key(s): {', '.join(missing)}")
-    wrong = _wrong_types({**required, **OPTIONAL_KEYS}, scenario)
-    nested = [("sampler", SAMPLER_KEYS), ("shift", SAMPLER_KEYS), ("shift_sampler", SAMPLER_KEYS)]
-    if command != "verify":
-        nested.append(("train", TRAIN_KEYS))
-    for name, table in nested:
-        value = scenario.get(name, {})
-        if not isinstance(value, dict):
-            raise RejectedInput(f"{where}: {name} must be a JSON object")
-        wrong += _wrong_types(table, value, f"{name}.")
-    if wrong:
-        raise RejectedInput(f"{where} has value(s) of the wrong type: {', '.join(wrong)}")
-    negative = [key for key in SEED_KEYS if _has_type(scenario.get(key), int) and scenario[key] < 0]
-    if negative:
-        raise RejectedInput(f"{where} has negative seed(s): {', '.join(negative)}")
+    bad += _bad_values(scenario)
+    if bad:
+        raise RejectedInput(f"scenario has bad value(s): {'; '.join(bad)}")
+    if command in ("bandit", "transfer") and scenario["k"] < scenario["d"]:
+        raise RejectedInput(f"{where} has k = {scenario['k']} < d = {scenario['d']}: a rank-d net needs k >= d")
+    if command in ("identify", "transfer"):
+        for name in ("sampler", "shift", "shift_sampler"):
+            sampler_from_dict(_value(scenario, name) or {}, scenario["d"])
     if command == "verify":
         checks, names = scenario.get("checks") or [], list(VERIFY_CHECKS)
         if not isinstance(checks, list):
@@ -226,7 +255,7 @@ def default_scenario(command: str) -> dict:
 def sampler_from_dict(spec: dict, d: int) -> core.CovariateSampler:
     kind = spec.get("kind", "uniform_cube")
     if kind == "uniform_cube":
-        return core.CovariateSampler.uniform_cube(d, spec.get("half_width", 0.5))
+        return core.CovariateSampler.uniform_cube(d, _value(spec, "half_width"))
     if kind == "uniform_scaled":
         return core.CovariateSampler.uniform_scaled(d)
     if kind == "unit_sphere":
@@ -234,30 +263,38 @@ def sampler_from_dict(spec: dict, d: int) -> core.CovariateSampler:
     if kind == "custom_mixture":
         if "atoms" not in spec:
             raise RejectedInput("a custom_mixture sampler is missing required key: atoms")
-        return core.CovariateSampler(
-            "custom_mixture", d,
-            atoms=np.asarray(spec["atoms"], dtype=float),
-            weights=np.asarray(spec["weights"], dtype=float) if "weights" in spec else None,
-        )
+        try:
+            atoms = np.asarray(spec["atoms"], dtype=float)
+            weights = np.asarray(spec["weights"], dtype=float) if "weights" in spec else None
+        except (TypeError, ValueError):
+            raise RejectedInput("a custom_mixture sampler's atoms and weights must be numbers") from None
+        return core.CovariateSampler("custom_mixture", d, atoms=atoms, weights=weights)
     raise RejectedInput(f"unknown sampler kind {kind!r}")
+
+
+def samplers_from_scenario(scenario: dict, shift_key: str):
+    """The scenario's sampler and the shifted sampler under shift_key, which
+    defaults to the sampler."""
+    p, q = _value(scenario, "sampler"), _value(scenario, shift_key)
+    return sampler_from_dict(p, scenario["d"]), sampler_from_dict(p if q is None else q, scenario["d"])
 
 
 def train_config_from_dict(spec: dict, seed: int = 0) -> core.TrainConfig:
     return core.TrainConfig(
-        learning_rate=spec.get("learning_rate", 0.1),
-        max_iters=int(spec.get("max_iters", 3000)),
-        grad_tol=spec.get("grad_tol", 1e-7),
-        init_scale=spec.get("init_scale"),
+        learning_rate=_value(spec, "learning_rate"),
+        max_iters=int(_value(spec, "max_iters")),
+        grad_tol=_value(spec, "grad_tol"),
+        init_scale=_value(spec, "init_scale"),
         seed=seed,
     )
 
 
 def truth_from_scenario(scenario: dict) -> core.QuadNet:
     rng = np.random.default_rng(scenario["truth_seed"])
-    return core.random_net(scenario["d"], scenario["k"], rng, scenario.get("truth_norm", 1.0))
+    return core.random_net(scenario["d"], scenario["k"], rng, _value(scenario, "truth_norm"))
 
 
-def bandit_problem_from_scenario(scenario: dict, T: int | None = None) -> bandit.BanditProblem:
+def bandit_problem_from_scenario(scenario: dict) -> bandit.BanditProblem:
     d, k = scenario["d"], scenario["k"]
     spectrum = np.asarray(scenario["spectrum"], dtype=float)
     if spectrum.size != d:
@@ -268,10 +305,10 @@ def bandit_problem_from_scenario(scenario: dict, T: int | None = None) -> bandit
     theta[:, :d] = q @ np.diag(np.sqrt(spectrum))
     return bandit.BanditProblem(
         theta_star=core.QuadNet(theta),
-        xi_max=scenario.get("xi_max", 0.0),
-        T=int(T if T is not None else scenario["T"]),
-        M=scenario.get("M"),
-        m_scale=scenario.get("m_scale", 1.0),
+        xi_max=_value(scenario, "xi_max"),
+        T=int(scenario["T"]),
+        M=_value(scenario, "M"),
+        m_scale=_value(scenario, "m_scale"),
     )
 
 
@@ -287,16 +324,17 @@ def transfer_problem_from_scenario(scenario: dict) -> transfer.TransferProblem:
     shift = rng.standard_normal((d, k))
     shift *= scenario["B"] / np.linalg.norm(shift)
     theta_g = theta_p + shift
+    sampler_p, sampler_q = samplers_from_scenario(scenario, "shift_sampler")
     return transfer.TransferProblem(
         theta_p_star=core.QuadNet(theta_p),
         theta_g_star=core.QuadNet(theta_g),
         B=scenario["B"],
         n_p=int(scenario["n_p"]),
         n_g=int(scenario["n_g"]),
-        sampler_p=sampler_from_dict(scenario.get("sampler", {}), d),
-        sampler_q=sampler_from_dict(scenario.get("shift_sampler", scenario.get("sampler", {})), d),
+        sampler_p=sampler_p,
+        sampler_q=sampler_q,
         sigma0=sigma0,
-        xi_max=scenario.get("xi_max", 0.0),
+        xi_max=_value(scenario, "xi_max"),
         noise_kind=scenario.get("noise_kind", "zero"),
     )
 
@@ -306,13 +344,13 @@ def module_setup_from_scenario(scenario: dict):
     k = scenario["k"]
     lib_rng = np.random.default_rng(scenario["library_seed"])
     true_lib = module_net.make_library(
-        d, k, scenario.get("x_max", 1.0), scenario.get("lipschitz_target", 0.9),
-        lib_rng, width=scenario.get("width"),
+        d, k, _value(scenario, "x_max"), _value(scenario, "lipschitz_target"),
+        lib_rng, width=_value(scenario, "width"),
     )
     parser_rng = np.random.default_rng(scenario["parser_seed"])
     parser_true = module_net.random_parser(scenario["alphabet_size"], k, parser_rng)
     chain_rng = np.random.default_rng(scenario["chain_seed"])
-    base = module_net.random_chain(scenario["alphabet_size"], scenario["T"], chain_rng)
+    base = module_net.random_chain(scenario["alphabet_size"], int(scenario["T"]), chain_rng)
     shifted = module_net.shifted_chain(base, scenario["alpha_shift"], chain_rng)
     spec = module_net.ShiftSpec(base=base, shifted=shifted, alpha_shift=scenario["alpha_shift"])
     return true_lib, parser_true, spec
@@ -324,29 +362,28 @@ def module_setup_from_scenario(scenario: dict):
 
 def run_identify_seed(scenario: dict, seed: int) -> dict:
     truth = truth_from_scenario(scenario)
-    sampler_p = sampler_from_dict(scenario.get("sampler", {}), scenario["d"])
-    sampler_q = sampler_from_dict(scenario.get("shift", scenario.get("sampler", {})), scenario["d"])
-    cfg = train_config_from_dict(scenario.get("train", {}))
+    sampler_p, sampler_q = samplers_from_scenario(scenario, "shift")
+    cfg = train_config_from_dict(_value(scenario, "train"))
     rows, fits = identify.robust_shift_experiment(
         truth, sampler_p, sampler_q,
-        n_grid=[int(n) for n in scenario.get("n_grid", [scenario.get("n", 2000)])],
+        n_grid=[int(n) for n in _value(scenario, "n_grid") or [_value(scenario, "n")]],
         cfg=cfg,
         seeds=[seed],
-        delta=scenario.get("delta", 0.1),
-        xi_max=scenario.get("xi_max", 0.0),
+        delta=_value(scenario, "delta"),
+        xi_max=_value(scenario, "xi_max"),
         noise_kind=scenario.get("noise_kind", "zero"),
-        n_eval=int(scenario.get("n_eval", 2000)),
+        n_eval=int(_value(scenario, "n_eval")),
     )
     return {"rows": rows, "fits": fits, "all_hold": int(all(r["holds"] for r in rows))}
 
 
 def run_bandit_seed(scenario: dict, seed: int) -> dict:
     problem = bandit_problem_from_scenario(scenario)
-    cfg = train_config_from_dict(scenario.get("train", {}))
+    cfg = train_config_from_dict(_value(scenario, "train"))
     trace = bandit.run_etc(problem, cfg, seed)
     cum = trace.cumulative_regret()
     trace_rows = []
-    stride = max(1, int(scenario.get("trace_stride", 1)))
+    stride = max(1, int(_value(scenario, "trace_stride")))
     for t in range(0, trace.T, stride):
         trace_rows.append({
             "t": t + 1,
@@ -369,21 +406,20 @@ def run_bandit_seed(scenario: dict, seed: int) -> dict:
 
 def run_transfer_seed(scenario: dict, seed: int) -> dict:
     problem = transfer_problem_from_scenario(scenario)
-    cfg = train_config_from_dict(scenario.get("train", {}))
-    report = transfer.run_transfer(problem, scenario.get("delta", 0.1), cfg, seed=seed)
-    return report
+    cfg = train_config_from_dict(_value(scenario, "train"))
+    return transfer.run_transfer(problem, _value(scenario, "delta"), cfg, seed=seed)
 
 
 def run_modules_seed(scenario: dict, seed: int) -> dict:
     true_lib, parser_true, spec = module_setup_from_scenario(scenario)
-    cfg = train_config_from_dict(scenario.get("train", {}))
+    cfg = train_config_from_dict(_value(scenario, "train"))
     fitted = module_net.fit_library(
-        true_lib, int(scenario.get("n_train", 400)), scenario.get("xi_max", 0.0),
+        true_lib, int(_value(scenario, "n_train")), _value(scenario, "xi_max"),
         scenario.get("noise_kind", "zero"), cfg, seed,
     )
     word_rng = np.random.default_rng(seed + 10_000)
     examples = []
-    for _ in range(int(scenario.get("n_parser_words", 300))):
+    for _ in range(int(_value(scenario, "n_parser_words"))):
         w = module_net.sample_word(spec.base, word_rng)
         js = module_net.parse(parser_true, w)
         j_prev = module_net.START_STATE
@@ -395,11 +431,9 @@ def run_modules_seed(scenario: dict, seed: int) -> dict:
     )
     report = module_net.composition_error_experiment(
         true_lib, fitted, parser_true, parser_hat, spec,
-        n_mc=int(scenario.get("n_mc", 400)), seed=seed + 20_000,
+        n_mc=int(_value(scenario, "n_mc")), seed=seed + 20_000,
     )
     report["fits"] = [[res.diagnostics() for res in coords] for coords in fitted.fits]
-    rows = report.pop("rows")
-    report["rows"] = rows  # keep rows last for readability in JSON
     return report
 
 
@@ -415,7 +449,7 @@ class CheckResult:
 
 def _check_strong_convexity(scale: float, seed: int) -> CheckResult:
     est = core.estimate_alpha(
-        core.CovariateSampler.uniform_cube(3), n_mc=int(200_000 * scale) or 1,
+        core.CovariateSampler.uniform_cube(3), n_mc=max(int(200_000 * scale), 2_000),
         n_directions=20, seed=seed,
     )
     floor = 1.0 / 180.0 - 0.001
@@ -587,7 +621,7 @@ VERIFY_CHECKS = {
 def run_verify_seed(scenario: dict, seed: int) -> dict:
     """Run the checks named in scenario["checks"] (all when absent or empty),
     in suite order; unselected checks never run."""
-    scale = float(scenario.get("scale", 1.0))
+    scale = float(_value(scenario, "scale"))
     wanted = scenario.get("checks")
     results = {
         name: fn(scale, seed) for name, fn in VERIFY_CHECKS.items() if not wanted or name in wanted
@@ -612,60 +646,39 @@ def run_sweep(config: ExperimentConfig) -> tuple[int, dict]:
     if grid is None or len(grid) < 3 or sorted(grid) != list(grid):
         raise RejectedInput("grid must be sorted ascending with at least 3 points")
 
-    tasks = []
-    for g in grid:
-        for seed in config.seeds:
-            tasks.append((axis, g, seed))
+    command, key = SWEEP_AXES[axis]
 
     def one(task):
-        ax, g, seed = task
-        b = dict(base)
-        if ax == "n":
-            b["n_grid"] = [int(g)]
-            payload = run_identify_seed(b, seed)
+        g, seed = task
+        b = {**base, key: [g] if key == "n_grid" else g}
+        if axis == "T":
+            b["trace_stride"] = max(1, g // 50)
+        payload = _SEED_RUNNERS[command](b, seed)
+        if axis == "n":
             row = payload["rows"][0]
-            return {"axis_value": int(g), "seed": seed, "metric": math.sqrt(row["sup_gap_sq"]), "row": row}
-        if ax == "T":
-            b["T"] = int(g)
-            payload = run_bandit_seed({**b, "trace_stride": max(1, int(g) // 50)}, seed)
-            return {
-                "axis_value": int(g), "seed": seed, "metric": payload["final_cum_regret"],
-                "row": {"T": int(g), "replicate": seed, "cum_regret_final": payload["final_cum_regret"]},
-            }
-        if ax == "n_g":
-            b["n_g"] = int(g)
-            payload = run_transfer_seed(b, seed)
-            return {
-                "axis_value": int(g), "seed": seed,
-                "metric": math.sqrt(payload["gold_sup_gap"]),
-                "row": {"n_g": int(g), "seed": seed, "gold_sup_gap": payload["gold_sup_gap"],
-                        "certified": payload["certified"], "holds": payload["holds"]},
-            }
-        b["T"] = int(g)
-        payload = run_modules_seed(b, seed)
-        gaps = [r["gap_l2"] for r in payload["rows"] if r["parse_match"]]
-        mean_gap = float(np.mean(gaps)) if gaps else 0.0
-        return {
-            "axis_value": int(g), "seed": seed, "metric": mean_gap,
-            "row": {"T": int(g), "seed": seed, "mean_matched_gap": mean_gap,
-                    "freq_within": payload["freq_within"]},
-        }
+            metric = math.sqrt(row["sup_gap_sq"])
+        elif axis == "T":
+            metric = payload["final_cum_regret"]
+            row = {"T": g, "replicate": seed, "cum_regret_final": metric}
+        elif axis == "n_g":
+            metric = math.sqrt(payload["gold_sup_gap"])
+            row = {"n_g": g, "seed": seed, "gold_sup_gap": payload["gold_sup_gap"],
+                   "certified": payload["certified"], "holds": payload["holds"]}
+        else:
+            gaps = [r["gap_l2"] for r in payload["rows"] if r["parse_match"]]
+            metric = float(np.mean(gaps)) if gaps else 0.0
+            row = {"T": g, "seed": seed, "mean_matched_gap": metric, "freq_within": payload["freq_within"]}
+        return {"axis_value": g, "seed": seed, "metric": metric, "row": row}
 
-    results = _map_tasks(one, tasks, config.parallelism)
+    results = _map_tasks(one, [(int(g), seed) for g in grid for seed in config.seeds], config.parallelism)
     results.sort(key=lambda r: (r["axis_value"], r["seed"]))
 
-    medians = []
-    for g in grid:
-        vals = [r["metric"] for r in results if r["axis_value"] == g]
-        medians.append(float(np.median(vals)))
-    summary = {"axis": axis, "grid": [int(g) for g in grid], "medians": medians}
+    medians = [float(np.median([r["metric"] for r in results if r["axis_value"] == g])) for g in grid]
+    summary = {"axis": axis, "grid": [int(g) for g in grid], "medians": medians,
+               "slope": None, "intercept": None, "stderr": None}
     if all(m > 0 for m in medians):
-        slope, intercept, stderr = bandit.fit_loglog_slope(
-            np.array(grid, dtype=float), np.array(medians)
-        )
+        slope, intercept, stderr = bandit.fit_loglog_slope(np.array(grid, dtype=float), np.array(medians))
         summary.update({"slope": slope, "intercept": intercept, "stderr": stderr})
-    else:
-        summary.update({"slope": None, "intercept": None, "stderr": None})
 
     config.out_dir.mkdir(parents=True, exist_ok=True)
     header = sorted({k for r in results for k in r["row"]})
@@ -701,12 +714,10 @@ MODULE_COLUMNS = ["word_id", "parse_match", "gap_l2", "bound", "within_bound"]
 def run(config: ExperimentConfig) -> int:
     """Execute the configured command; returns the process exit status."""
     if config.command == "sweep":
-        status, _ = run_sweep(config)
-        return status
+        return run_sweep(config)[0]
 
     runner = _SEED_RUNNERS[config.command]
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    records = []
     digest = scenario_hash(config.scenario)
 
     def one(seed: int):
@@ -718,8 +729,7 @@ def run(config: ExperimentConfig) -> int:
     outputs = _map_tasks(one, list(config.seeds), config.parallelism)
     outputs.sort(key=lambda r: r[0])
 
-    jsonl_path = config.out_dir / "runs.jsonl"
-    with open(jsonl_path, "a") as fh:
+    with open(config.out_dir / "runs.jsonl", "a") as fh:
         for seed, payload, wall in outputs:
             slim = {k: v for k, v in payload.items() if k not in ("trace_rows", "rows")}
             record = {
@@ -731,40 +741,29 @@ def run(config: ExperimentConfig) -> int:
                 "payload": slim,
             }
             fh.write(json.dumps(record, sort_keys=True) + "\n")
-            records.append(record)
 
     status = EXIT_OK
     if config.command == "identify":
-        rows = []
-        for seed, payload, _ in outputs:
-            rows.extend(payload["rows"])
-        rows.sort(key=lambda r: (r["n"], r["seed"]))
+        rows = sorted((r for _, p, _ in outputs for r in p["rows"]), key=lambda r: (r["n"], r["seed"]))
         write_csv(config.out_dir / "identify.csv", IDENTIFY_COLUMNS, rows)
-        if config.scenario.get("require_holds") and not all(r["holds"] for r in rows):
-            status = EXIT_CHECK_FAILED
     elif config.command == "bandit":
         for seed, payload, _ in outputs:
             write_csv(config.out_dir / f"trace_{seed}.csv", TRACE_COLUMNS, payload["trace_rows"])
     elif config.command == "modules":
         for seed, payload, _ in outputs:
             write_csv(config.out_dir / f"modules_{seed}.csv", MODULE_COLUMNS, payload["rows"])
-        if config.scenario.get("require_holds") and not all(p["holds"] for _, p, _ in outputs):
-            status = EXIT_CHECK_FAILED
     elif config.command == "verify":
-        rows = []
-        failed = []
-        for seed, payload, _ in outputs:
-            for chk in payload["checks"]:
-                rows.append({"seed": seed, "check": chk["check"], "passed": chk["passed"]})
-                line = "PASS" if chk["passed"] else "FAIL"
-                print(f"[{line}] {chk['check']}")
-                if not chk["passed"]:
-                    failed.append(chk["check"])
+        rows = [{"seed": seed, "check": chk["check"], "passed": chk["passed"]}
+                for seed, payload, _ in outputs for chk in payload["checks"]]
+        for row in rows:
+            print(f"[{'PASS' if row['passed'] else 'FAIL'}] {row['check']}")
         write_csv(config.out_dir / "checks.csv", ["seed", "check", "passed"], rows)
+        failed = sorted({row["check"] for row in rows if not row["passed"]})
         if failed:
-            print("violated checks: " + ", ".join(sorted(set(failed))))
+            print("violated checks: " + ", ".join(failed))
             status = EXIT_CHECK_FAILED
-    elif config.command == "transfer":
-        if config.scenario.get("require_holds") and not all(p["holds"] for _, p, _ in outputs):
-            status = EXIT_CHECK_FAILED
+    # the verdict is identify's all_hold, transfer's or modules' holds
+    verdicts = [p.get("all_hold", p.get("holds", True)) for _, p, _ in outputs]
+    if config.scenario.get("require_holds") and not all(verdicts):
+        status = EXIT_CHECK_FAILED
     return status

@@ -255,6 +255,10 @@ def default_without(command, key):
     return {k: v for k, v in harness.default_scenario(command).items() if k != key}
 
 
+def default_with(command, **changes):
+    return {**harness.default_scenario(command), **changes}
+
+
 @pytest.mark.parametrize("command, scenario, missing", [
     ("identify", default_without("identify", "truth_seed"), "truth_seed"),
     ("bandit", default_without("bandit", "spectrum"), "spectrum"),
@@ -333,8 +337,73 @@ def test_cli_negative_scenario_seed_exits_2(tmp_path, capsys, command, key):
     status = cli.main([command, "--scenario", write_scenario(tmp_path, scenario),
                        "--out", str(tmp_path / "out")])
     assert status == 2
-    assert f"negative seed(s): {key}" in capsys.readouterr().err
+    assert f"out of range: {key} must be >= 0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, scenario, message", [
+    ("sweep", {"axis": "n", "grid": ["a", "b", "c"], "base": default_with("identify")}, "wrong type: grid"),
+    ("identify", default_with("identify", sampler={"kind": "custom_mixture", "atoms": "x"}), "atoms"),
+    ("identify", default_with("identify", sampler={"kind": "custom_mixture", "atoms": [[0.1, 0.2, 0.3]],
+                                                 "weights": "x"}), "weights"),
+    ("modules", default_with("modules", width=0), "out of range: width must be >= 1"),
+    ("modules", default_with("modules", width=-1), "out of range: width must be >= 1"),
+    ("modules", default_with("modules", alphabet_size=0), "out of range: alphabet_size must be >= 1"),
+    ("modules", default_with("modules", x_max=0), "out of range: x_max must be > 0"),
+    ("identify", default_with("identify", d=-1), "out of range: d must be >= 1"),
+    ("identify", default_with("identify", n_grid=[]), "wrong type: n_grid"),
+    ("bandit", default_with("bandit", M="x"), "wrong type: M"),
+    ("bandit", default_with("bandit", M=-1), "out of range: M must be > 0"),
+    ("bandit", default_with("bandit", k=2), "k = 2 < d = 3"),
+    ("transfer", default_with("transfer", sigma0=-1), "out of range: sigma0 must be > 0"),
+    ("transfer", default_with("transfer", k=3), "k = 3 < d = 6"),
+    ("verify", {"scale": 0, "checks": ["strong-convexity-mc"]}, "out of range: scale must be > 0"),
+    ("verify", {"scale": -1, "checks": ["strong-convexity-mc"]}, "out of range: scale must be > 0"),
+])
+def test_cli_scenario_value_outside_its_domain_exits_2(tmp_path, capsys, command, scenario, message):
+    status = cli.main([command, "--scenario", write_scenario(tmp_path, scenario),
+                       "--out", str(tmp_path / "out")])
+    assert status == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+class RecordingDict(dict):
+    """A scenario that records every key read from it or its nested objects."""
+
+    def __init__(self, data, seen):
+        super().__init__({k: RecordingDict(v, seen) if isinstance(v, dict) else v for k, v in data.items()})
+        self.seen = seen
+
+    def __getitem__(self, key):
+        self.seen.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.seen.add(key)
+        return super().get(key, default)
+
+
+# Free-form keys the schema table does not describe.
+UNDECLARED_KEYS = {"noise_kind", "kind", "atoms", "weights", "checks", "require_holds"}
+
+
+@pytest.mark.parametrize("command", ["identify", "bandit", "transfer", "modules", "verify"])
+def test_builders_read_only_declared_keys(tmp_path, command):
+    seen = set()
+    scenario = RecordingDict(harness.default_scenario(command), seen)
+    assert harness.run(harness.ExperimentConfig(command, scenario, (0,), tmp_path)) == 0
+    assert seen and seen <= set(harness.SCENARIO_KEYS) | UNDECLARED_KEYS
+
+
+def test_readme_documents_every_scenario_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert [key for key in harness.SCENARIO_KEYS if f"| `{key}` |" not in readme] == []
+
+
+def test_strong_convexity_check_holds_at_small_scale():
+    # at scale 1e-4 the check once drew 20 points, which failed it on 6 seeds of 20
+    assert all(harness._check_strong_convexity(1e-4, seed).passed for seed in range(20))
 
 
 def test_cli_negative_run_seed_exits_2(tmp_path, capsys):
