@@ -76,6 +76,7 @@ from .module_net import (
     module_sup_error,
     parse,
     sample_word,
+    sample_words,
     sequence_error_check,
     train_parser,
     tv_distance,

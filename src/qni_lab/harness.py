@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import numbers
+import operator
 import time
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
@@ -37,39 +38,42 @@ EXIT_USAGE = 2
 # Every scenario key the builders read, top level or nested, but the free-form
 # ones (kind, atoms, weights, noise_kind, checks, require_holds). kind: int,
 # float (any real; counts the builders pass through int() are reals), list (a
-# nonempty list of reals) or dict (a nested object). low: lower bound,
-# inclusive for an int, exclusive for a real or a list's entries; None for
-# none. default: None allows null, meaning the default (a null shift sampler
-# is the sampler, a null n_grid is [n]); NO_DEFAULT marks a required key.
-Key = namedtuple("Key", "kind low default")
+# nonempty list of reals) or dict (a nested object). bounds: the conditions a
+# value, or each entry of a list, must meet, such as ">= 1" or "> 0, < 1";
+# None for none. default: None allows null, meaning the default (a null shift
+# sampler is the sampler, a null n_grid is [n]); NO_DEFAULT marks a required
+# key.
+Key = namedtuple("Key", "kind bounds default")
 NO_DEFAULT = object()
 SCENARIO_KEYS = {
     # sizes and seeds (numpy refuses negative seeds)
-    "d": Key(int, 1, NO_DEFAULT), "k": Key(int, 1, NO_DEFAULT),
-    "alphabet_size": Key(int, 1, NO_DEFAULT), "width": Key(int, 1, None),
-    "truth_seed": Key(int, 0, NO_DEFAULT), "theta_seed": Key(int, 0, NO_DEFAULT),
-    "library_seed": Key(int, 0, NO_DEFAULT), "parser_seed": Key(int, 0, NO_DEFAULT),
-    "chain_seed": Key(int, 0, NO_DEFAULT),
+    "d": Key(int, ">= 1", NO_DEFAULT), "k": Key(int, ">= 1", NO_DEFAULT),
+    "alphabet_size": Key(int, ">= 1", NO_DEFAULT), "width": Key(int, ">= 1", None),
+    "truth_seed": Key(int, ">= 0", NO_DEFAULT), "theta_seed": Key(int, ">= 0", NO_DEFAULT),
+    "library_seed": Key(int, ">= 0", NO_DEFAULT), "parser_seed": Key(int, ">= 0", NO_DEFAULT),
+    "chain_seed": Key(int, ">= 0", NO_DEFAULT),
     # counts
-    "T": Key(float, 0, NO_DEFAULT), "n_p": Key(float, 0, NO_DEFAULT),
-    "n_g": Key(float, 0, NO_DEFAULT), "grid": Key(list, 0, NO_DEFAULT),
-    "n": Key(float, 0, 2000), "n_grid": Key(list, 0, None), "n_eval": Key(float, 0, 2000),
-    "n_train": Key(float, 0, 400), "n_parser_words": Key(float, 0, 300),
-    "n_mc": Key(float, 0, 400), "trace_stride": Key(float, 0, 1),
+    "T": Key(float, ">= 1", NO_DEFAULT), "n_p": Key(float, ">= 1", NO_DEFAULT),
+    "n_g": Key(float, ">= 1", NO_DEFAULT), "grid": Key(list, ">= 1", NO_DEFAULT),
+    "n": Key(float, ">= 1", 2000), "n_grid": Key(list, ">= 1", None),
+    "n_eval": Key(float, ">= 1", 2000), "n_train": Key(float, ">= 1", 400),
+    "n_parser_words": Key(float, ">= 1", 300), "n_mc": Key(float, ">= 1", 400),
+    "trace_stride": Key(float, ">= 1", 1),
     # real parameters
-    "B": Key(float, None, NO_DEFAULT), "sigma0": Key(float, 0, NO_DEFAULT),
-    "spectrum": Key(list, None, NO_DEFAULT), "alpha_shift": Key(float, None, NO_DEFAULT),
-    "xi_max": Key(float, None, 0.0), "delta": Key(float, 0, 0.1),
-    "truth_norm": Key(float, 0, 1.0), "M": Key(float, 0, None), "m_scale": Key(float, 0, 1.0),
-    "x_max": Key(float, 0, 1.0), "lipschitz_target": Key(float, 0, 0.9),
-    "scale": Key(float, 0, 1.0),
+    "B": Key(float, ">= 0", NO_DEFAULT), "sigma0": Key(float, "> 0", NO_DEFAULT),
+    "spectrum": Key(list, ">= 0", NO_DEFAULT), "alpha_shift": Key(float, ">= 0, <= 2", NO_DEFAULT),
+    "xi_max": Key(float, ">= 0", 0.0), "delta": Key(float, "> 0, < 1", 0.1),
+    "truth_norm": Key(float, "> 0", 1.0), "M": Key(float, "> 0", None),
+    "m_scale": Key(float, "> 0", 1.0), "x_max": Key(float, "> 0", 1.0),
+    "lipschitz_target": Key(float, "> 0", 0.9), "scale": Key(float, "> 0", 1.0),
     # nested objects, and the fields of train and of the sampler objects
     "train": Key(dict, None, {}), "sampler": Key(dict, None, {}),
     "shift": Key(dict, None, None), "shift_sampler": Key(dict, None, None),
-    "learning_rate": Key(float, 0, 0.1), "max_iters": Key(float, 0, 3000),
-    "grad_tol": Key(float, 0, 1e-7), "init_scale": Key(float, 0, None),
-    "half_width": Key(float, 0, 0.5),
+    "learning_rate": Key(float, "> 0", 0.1), "max_iters": Key(float, ">= 1", 3000),
+    "grad_tol": Key(float, "> 0", 1e-7), "init_scale": Key(float, "> 0", None),
+    "half_width": Key(float, "> 0", 0.5),
 }
+_COMPARE = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
 
 # Keys each command requires (a sweep's base scenario: those of the command
 # its axis runs, less the key the sweep sets).
@@ -104,6 +108,11 @@ def _has_type(value, kind) -> bool:
     return isinstance(value, base) and not isinstance(value, bool)
 
 
+def _within(value, bounds: str) -> bool:
+    """Whether a number meets every condition in bounds ("> 0, < 1")."""
+    return all(_COMPARE[op](value, float(limit)) for op, limit in map(str.split, bounds.split(",")))
+
+
 def _bad_values(values: dict, prefix: str = "") -> list[str]:
     """What is wrong with each value in values, nested objects included."""
     bad = []
@@ -111,15 +120,14 @@ def _bad_values(values: dict, prefix: str = "") -> list[str]:
         spec, name = SCENARIO_KEYS.get(key), prefix + key
         if spec is None or (value is None and spec.default is None):
             continue
-        strict = spec.kind is not int
         if not _has_type(value, spec.kind):
             bad.append(f"wrong type: {name}")
         elif spec.kind is dict:
             bad += _bad_values(value, name + ".")
-        elif spec.low is not None and not all(
-            v > spec.low if strict else v >= spec.low for v in (value if spec.kind is list else [value])
+        elif spec.bounds is not None and not all(
+            _within(v, spec.bounds) for v in (value if spec.kind is list else [value])
         ):
-            bad.append(f"out of range: {name} must be {'>' if strict else '>='} {spec.low}")
+            bad.append(f"out of range: {name} must be {spec.bounds.replace(',', ' and')}")
     return bad
 
 
@@ -383,7 +391,7 @@ def run_bandit_seed(scenario: dict, seed: int) -> dict:
     trace = bandit.run_etc(problem, cfg, seed)
     cum = trace.cumulative_regret()
     trace_rows = []
-    stride = max(1, int(_value(scenario, "trace_stride")))
+    stride = int(_value(scenario, "trace_stride"))
     for t in range(0, trace.T, stride):
         trace_rows.append({
             "t": t + 1,
@@ -418,14 +426,11 @@ def run_modules_seed(scenario: dict, seed: int) -> dict:
         scenario.get("noise_kind", "zero"), cfg, seed,
     )
     word_rng = np.random.default_rng(seed + 10_000)
-    examples = []
-    for _ in range(int(_value(scenario, "n_parser_words"))):
-        w = module_net.sample_word(spec.base, word_rng)
-        js = module_net.parse(parser_true, w)
-        j_prev = module_net.START_STATE
-        for z, j in zip(w, js):
-            examples.append((int(j_prev), int(z), int(j)))
-            j_prev = j
+    n_words, T = int(_value(scenario, "n_parser_words")), spec.base.T
+    words = module_net.sample_words(spec.base, word_rng.random((n_words, T)))
+    modules = module_net.parse(parser_true, words)
+    prev = np.hstack([np.full((n_words, 1), module_net.START_STATE), modules])[:, :T]
+    examples = list(zip(prev.ravel().tolist(), words.ravel().tolist(), modules.ravel().tolist()))
     parser_hat = module_net.train_parser(
         examples, alphabet_size=parser_true.alphabet_size, k=parser_true.k
     )

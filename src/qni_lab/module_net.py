@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -106,13 +106,17 @@ class ShiftSpec:
 @dataclass(frozen=True)
 class ModuleLibrary:
     """k vector-valued modules on the ball of radius x_max; module j maps
-    x to (net_{j,1}(x), ..., net_{j,d}(x)) with one quadratic net per coordinate."""
+    x to (net_{j,1}(x), ..., net_{j,d}(x)) with one quadratic net per coordinate.
+
+    All coordinate nets share one width; `thetas` stacks their parameters as a
+    (k, d, d, width) array, module, coordinate, then the net's theta."""
 
     modules: tuple
     x_max: float
     k_module: float | None = None  # configured Lipschitz bound on the domain
     eps_f: float | None = None  # uniform sup error vs a reference library, if known
     fits: tuple = ()  # TrainResult per coordinate net, per module, when fitted
+    thetas: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mods = tuple(tuple(coord for coord in m) for m in self.modules)
@@ -122,9 +126,14 @@ class ModuleLibrary:
         for m in mods:
             if len(m) != d or any(net.d != d for net in m):
                 raise RejectedInput("every module must have d coordinate nets of input dim d")
+        if len({net.k for m in mods for net in m}) != 1:
+            raise RejectedInput("every coordinate net must have the same width")
         if self.x_max <= 0:
             raise RejectedInput("x_max must be positive")
+        thetas = np.array([[net.theta for net in m] for m in mods])
+        thetas.setflags(write=False)
         object.__setattr__(self, "modules", mods)
+        object.__setattr__(self, "thetas", thetas)
 
     @property
     def k(self) -> int:
@@ -134,11 +143,25 @@ class ModuleLibrary:
     def d(self) -> int:
         return self.modules[0][0].d
 
-    def apply(self, j: int, x: np.ndarray) -> np.ndarray:
-        """Evaluate module j (1-indexed) at x."""
-        if not (1 <= j <= self.k):
-            raise RejectedInput(f"module index {j} outside 1..{self.k}")
-        return np.array([core.forward(net, x) for net in self.modules[j - 1]])
+    def apply(self, j, x: np.ndarray) -> np.ndarray:
+        """Evaluate module j (1-indexed) at x, or, for a vector j and an
+        n x d x, module j[i] at each row x[i].
+
+        Each coordinate is (x @ theta) @ (x @ theta) computed by stacked
+        matmul, which gives the same bits as core.forward on one point."""
+        j, x = np.asarray(j, dtype=int), np.asarray(x, dtype=float)
+        if j.ndim > 1 or x.shape != j.shape + (self.d,):
+            raise RejectedInput(f"need one module index and x of shape ({self.d},), or n indices "
+                                f"and an n x {self.d} x; got {j.shape} and {x.shape}")
+        js, xs = j.reshape(-1), x.reshape(-1, self.d)
+        if js.size and (js.min() < 1 or js.max() > self.k):
+            raise RejectedInput(f"module index outside 1..{self.k}")
+        out = np.empty_like(xs)
+        for m in range(self.k):
+            rows = js == m + 1
+            p = xs[rows][:, None, None, :] @ self.thetas[m]
+            out[rows] = (p @ p.swapaxes(-1, -2))[:, :, 0, 0]
+        return out.reshape(x.shape)
 
     def lipschitz_bound(self) -> float:
         """Analytic Lipschitz bound on the ball: max_j 2 x_max sqrt(sum_c rho_c^2)."""
@@ -152,71 +175,99 @@ class ModuleLibrary:
         return worst
 
     def measured_lipschitz(self, n_pairs: int, rng: np.random.Generator) -> float:
-        """Max difference quotient over random pairs in the ball (a lower estimate)."""
+        """Max difference quotient over random pairs in the ball (a lower
+        estimate); pairs closer than 1e-12 are skipped."""
+        _, points = _draw_rows(rng, 2 * n_pairs, 0, self.d, self.x_max)
+        x, y = points[0::2], points[1::2]
+        denom = _norms(x - y)
+        keep = denom >= 1e-12
         best = 0.0
-        for _ in range(n_pairs):
-            x = _uniform_ball(self.d, self.x_max, rng)
-            y = _uniform_ball(self.d, self.x_max, rng)
-            denom = float(np.linalg.norm(x - y))
-            if denom < 1e-12:
-                continue
-            for j in range(1, self.k + 1):
-                num = float(np.linalg.norm(self.apply(j, x) - self.apply(j, y)))
-                best = max(best, num / denom)
+        for j in range(1, self.k + 1):
+            js = np.full(n_pairs, j)
+            num = _norms(self.apply(js, x) - self.apply(js, y))
+            best = max(best, float(np.max(num[keep] / denom[keep], initial=0.0)))
         return best
 
 
-def _uniform_ball(d: int, radius: float, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal(d)
-    g /= np.linalg.norm(g)
-    return radius * rng.uniform() ** (1.0 / d) * g
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, bit for bit np.linalg.norm of the row."""
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
+
+def _draw_rows(rng: np.random.Generator, n: int, T: int, d: int, radius: float):
+    """n rows of randomness, each drawn in the order one word and one point
+    have always used: T uniforms for the word's tokens (see sample_words),
+    then d normals and one uniform for a uniform point in the ball of radius.
+    Returns the n x T uniforms and the n x d points."""
+    u, g, s = np.empty((n, T)), np.empty((n, d)), np.empty(n)
+    for i in range(n):
+        rng.random(out=u[i])
+        rng.standard_normal(out=g[i])
+        s[i] = rng.uniform() ** (1.0 / d)  # a Python scalar: numpy's array power rounds differently
+    return u, (radius * s)[:, None] * (g / _norms(g)[:, None])
 
 
 # ---------------------------------------------------------------------------
 # parsing and composition
 
 
-def parse(parser: Parser, word: np.ndarray) -> np.ndarray:
-    """Module sequence j_1..j_T from a left-to-right fold starting at the start state."""
-    word = np.asarray(word, dtype=int)
-    if word.ndim != 1:
-        raise RejectedInput("word must be a 1-d token sequence")
-    if word.size and (word.min() < 0 or word.max() >= parser.alphabet_size):
+def parse(parser: Parser, words: np.ndarray) -> np.ndarray:
+    """Module sequence j_1..j_T of a word, from a left-to-right fold starting
+    at the start state; for an n x T array, the sequence of each row."""
+    words = np.asarray(words, dtype=int)
+    if words.ndim not in (1, 2):
+        raise RejectedInput("words must be a 1-d token sequence or an n x T array of them")
+    if words.size and (words.min() < 0 or words.max() >= parser.alphabet_size):
         raise RejectedInput("word contains tokens outside the alphabet")
-    out = np.empty(word.size, dtype=int)
-    j = START_STATE
-    for t, z in enumerate(word):
-        j = int(parser.table[z, j])
-        out[t] = j
-    return out
+    rows = np.atleast_2d(words)
+    out = np.empty_like(rows)
+    j = np.full(rows.shape[0], START_STATE)
+    for t in range(rows.shape[1]):
+        j = parser.table[rows[:, t], j]
+        out[:, t] = j
+    return out if words.ndim == 2 else out[0]
 
 
 def compose(
-    library: ModuleLibrary, parser: Parser, x: np.ndarray, word: np.ndarray
+    library: ModuleLibrary, parser: Parser, x: np.ndarray, words: np.ndarray
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Run the parsed module sequence on x; returns (output, trace x_0..x_T)."""
+    """Run the parsed module sequence on x; returns (output, trace x_0..x_T).
+    For an n x d x and n x T words, row i runs word i on x[i], and the output
+    and every trace entry are n x d."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (library.d,):
-        raise RejectedInput(f"x must have shape ({library.d},), got {x.shape}")
-    js = parse(parser, word)
+    words = np.asarray(words, dtype=int)
+    if x.shape != words.shape[:-1] + (library.d,):
+        raise RejectedInput(f"x must have shape ({library.d},) for one word, or n x {library.d} "
+                            f"for n words; got {x.shape} for words of shape {words.shape}")
+    js = parse(parser, words)
     trace = [x]
-    cur = x
-    for j in js:
-        cur = library.apply(int(j), cur)
-        trace.append(cur)
-    return cur, trace
+    for t in range(js.shape[-1]):
+        trace.append(library.apply(js[..., t], trace[-1]))
+    return trace[-1], trace
 
 
 def sample_word(chain: TokenChain, rng: np.random.Generator) -> np.ndarray:
     """Token sequence of length chain.T; reproducible from the generator state."""
-    out = np.empty(chain.T, dtype=int)
-    if chain.T == 0:
-        return out
-    z = int(rng.choice(chain.alphabet_size, p=chain.initial))
-    out[0] = z
-    for t in range(1, chain.T):
-        z = int(rng.choice(chain.alphabet_size, p=chain.transition[z]))
-        out[t] = z
+    return sample_words(chain, rng.random((1, chain.T)))[0]
+
+
+def sample_words(chain: TokenChain, uniforms: np.ndarray) -> np.ndarray:
+    """One word per row of an n x T array of uniforms in [0, 1).
+
+    Each token inverts its row's cumulative sum, normalized by its last entry,
+    as Generator.choice does (searchsorted with side="right"): a word equals
+    what T calls to rng.choice(|Z|, p=row) give a generator whose next T
+    draws are the row."""
+    u = np.asarray(uniforms, dtype=float)
+    if u.ndim != 2 or u.shape[1] != chain.T:
+        raise RejectedInput(f"uniforms must be n x {chain.T}, got {u.shape}")
+    cum = np.cumsum(np.vstack([chain.initial, chain.transition]), axis=1)
+    cdf = cum / cum[:, -1:]
+    out = np.empty(u.shape, dtype=int)
+    prev = np.zeros(u.shape[0], dtype=int)  # row 0 of cdf is the initial distribution
+    for t in range(chain.T):
+        out[:, t] = np.sum(cdf[prev] <= u[:, t, None], axis=1)
+        prev = out[:, t] + 1
     return out
 
 
@@ -317,23 +368,6 @@ def mixture_distributions(chain: TokenChain, parser_true: Parser):
     return steps, avg
 
 
-def mixture_bruteforce(chain: TokenChain, parser_true: Parser, t: int) -> np.ndarray:
-    """Prefix-enumeration oracle for the step-t mixture (small |Z|^t only)."""
-    nz, k = chain.alphabet_size, parser_true.k
-    out = np.zeros((nz, k + 1))
-    for prefix in itertools.product(range(nz), repeat=t):
-        p = chain.initial[prefix[0]]
-        for s in range(1, t):
-            p *= chain.transition[prefix[s - 1], prefix[s]]
-        if p == 0.0:
-            continue
-        j = START_STATE
-        for z in prefix[:-1]:
-            j = int(parser_true.table[z, j])
-        out[prefix[-1], j] += p
-    return out
-
-
 def mixture_shift_check(spec: ShiftSpec, parser_true: Parser) -> dict:
     """Verify the linear compounding of mixture shift: TV_t <= t alpha for each
     step and averaged TV <= T alpha; returns the measured sequence."""
@@ -417,23 +451,16 @@ def sequence_error_check(
     n_words = chain.alphabet_size**T
     if n_words <= enumerate_limit:
         words, probs = enumerate_word_distribution(chain)
-        err = 0.0
-        for w, p in zip(words, probs):
-            if p == 0.0:
-                continue
-            w = np.array(w, dtype=int)
-            if not np.array_equal(parse(parser_hat, w), parse(parser_true, w)):
-                err += p
+        words = np.array(words, dtype=int).reshape(n_words, T)
+        differ = np.any(parse(parser_hat, words) != parse(parser_true, words), axis=1)
+        # a running sum in enumeration order, the order of one word at a time
+        err = float(np.cumsum(np.append(0.0, probs[differ]))[-1])
         exact = True
     else:
         if n_mc < 1:
             raise RejectedInput(f"n_mc must be >= 1 when |Z|^T = {n_words} exceeds enumerate_limit")
-        rng = np.random.default_rng(seed)
-        bad = 0
-        for _ in range(n_mc):
-            w = sample_word(chain, rng)
-            if not np.array_equal(parse(parser_hat, w), parse(parser_true, w)):
-                bad += 1
+        words = sample_words(chain, np.random.default_rng(seed).random((n_mc, T)))
+        bad = int(np.sum(np.any(parse(parser_hat, words) != parse(parser_true, words), axis=1)))
         err = bad / n_mc
         exact = False
     tol = 1e-12 if exact else 3.0 * math.sqrt(0.25 / n_mc)
@@ -510,26 +537,18 @@ def composition_error_experiment(
     eps_g = parser_disagreement(parser_hat, parser_true, avg)
     bound = T * eps_f * max(K ** (T - 1), 1.0)
 
-    rows = []
-    n_within = 0
-    n_match = 0
-    for i in range(n_mc):
-        w = sample_word(spec.shifted, rng)
-        x = _uniform_ball(true_library.d, true_library.x_max, rng)
-        out_true, _ = compose(true_library, parser_true, x, w)
-        out_hat, _ = compose(fitted_library, parser_hat, x, w)
-        gap = float(np.linalg.norm(out_hat - out_true))
-        match = bool(np.array_equal(parse(parser_hat, w), parse(parser_true, w)))
-        within = gap <= bound + 1e-12
-        n_within += within
-        n_match += match
-        rows.append({
-            "word_id": i,
-            "parse_match": int(match),
-            "gap_l2": gap,
-            "bound": float(bound),
-            "within_bound": int(within),
-        })
+    uniforms, x = _draw_rows(rng, n_mc, T, true_library.d, true_library.x_max)
+    words = sample_words(spec.shifted, uniforms)
+    out_true, _ = compose(true_library, parser_true, x, words)
+    out_hat, _ = compose(fitted_library, parser_hat, x, words)
+    gaps = _norms(out_hat - out_true)
+    match = np.all(parse(parser_hat, words) == parse(parser_true, words), axis=1)
+    within = gaps <= bound + 1e-12
+    n_within, n_match = int(np.sum(within)), int(np.sum(match))
+    rows = [
+        {"word_id": i, "parse_match": int(m), "gap_l2": g, "bound": float(bound), "within_bound": int(w)}
+        for i, (m, g, w) in enumerate(zip(match.tolist(), gaps.tolist(), within.tolist()))
+    ]
     freq = n_within / n_mc
     target = 1.0 - T * eps_g - T * T * spec.alpha_shift
     if target <= 0.0:

@@ -1,8 +1,11 @@
 """Shared helpers for the test suite."""
 
+import itertools
+import math
+
 import numpy as np
 
-from qni_lab import qnn_core as core
+from qni_lab import module_net as mn, qnn_core as core
 
 
 def random_symmetric(d: int, rng: np.random.Generator, norm: float | None = None) -> np.ndarray:
@@ -79,3 +82,119 @@ def reference_projected_gd(data: core.Dataset, theta0: np.ndarray, cfg: core.Tra
             return theta, it, True
     g = core.gradient(core.QuadNet(theta), data)
     return theta, cfg.max_iters, float(np.linalg.norm(g)) <= cfg.grad_tol
+
+
+# ---------------------------------------------------------------------------
+# module-network oracles: one word, one point and one forward call at a time
+
+
+def mixture_bruteforce(chain, parser_true, t: int) -> np.ndarray:
+    """Prefix-enumeration oracle for the step-t mixture over (token, previous
+    module) (small |Z|^t only)."""
+    nz, k = chain.alphabet_size, parser_true.k
+    out = np.zeros((nz, k + 1))
+    for prefix in itertools.product(range(nz), repeat=t):
+        p = chain.initial[prefix[0]]
+        for s in range(1, t):
+            p *= chain.transition[prefix[s - 1], prefix[s]]
+        if p == 0.0:
+            continue
+        j = mn.START_STATE
+        for z in prefix[:-1]:
+            j = int(parser_true.table[z, j])
+        out[prefix[-1], j] += p
+    return out
+
+
+def reference_sample_word(chain, rng: np.random.Generator) -> np.ndarray:
+    """One rng.choice call per token."""
+    out = np.empty(chain.T, dtype=int)
+    if chain.T == 0:
+        return out
+    z = int(rng.choice(chain.alphabet_size, p=chain.initial))
+    out[0] = z
+    for t in range(1, chain.T):
+        z = int(rng.choice(chain.alphabet_size, p=chain.transition[z]))
+        out[t] = z
+    return out
+
+
+def reference_uniform_ball(d: int, radius: float, rng: np.random.Generator) -> np.ndarray:
+    g = rng.standard_normal(d)
+    g /= np.linalg.norm(g)
+    return radius * rng.uniform() ** (1.0 / d) * g
+
+
+def reference_apply(library, j: int, x: np.ndarray) -> np.ndarray:
+    return np.array([core.forward(net, x) for net in library.modules[j - 1]])
+
+
+def reference_parse(parser, word: np.ndarray) -> np.ndarray:
+    out = np.empty(len(word), dtype=int)
+    j = mn.START_STATE
+    for t, z in enumerate(word):
+        j = int(parser.table[z, j])
+        out[t] = j
+    return out
+
+
+def reference_compose(library, parser, x: np.ndarray, word: np.ndarray) -> np.ndarray:
+    cur = x
+    for j in reference_parse(parser, word):
+        cur = reference_apply(library, int(j), cur)
+    return cur
+
+
+def reference_measured_lipschitz(library, n_pairs: int, rng: np.random.Generator) -> float:
+    best = 0.0
+    for _ in range(n_pairs):
+        x = reference_uniform_ball(library.d, library.x_max, rng)
+        y = reference_uniform_ball(library.d, library.x_max, rng)
+        denom = float(np.linalg.norm(x - y))
+        if denom < 1e-12:
+            continue
+        for j in range(1, library.k + 1):
+            num = float(np.linalg.norm(reference_apply(library, j, x) - reference_apply(library, j, y)))
+            best = max(best, num / denom)
+    return best
+
+
+def reference_composition_experiment(true_library, fitted_library, parser_true, parser_hat,
+                                     spec, n_mc: int, seed: int) -> dict:
+    """mn.composition_error_experiment with every word sampled, parsed and
+    composed on its own; the constants come from the same module_net calls."""
+    rng = np.random.default_rng(seed)
+    T = spec.base.T
+    eps_f, _ = mn.module_sup_error(fitted_library, true_library)
+    configured = true_library.k_module
+    if configured is None:
+        configured = true_library.lipschitz_bound()
+    K = max(configured, reference_measured_lipschitz(true_library, 200, rng))
+    _, avg = mn.mixture_distributions(spec.base, parser_true)
+    eps_g = mn.parser_disagreement(parser_hat, parser_true, avg)
+    bound = T * eps_f * max(K ** (T - 1), 1.0)
+    rows, n_within, n_match = [], 0, 0
+    for i in range(n_mc):
+        w = reference_sample_word(spec.shifted, rng)
+        x = reference_uniform_ball(true_library.d, true_library.x_max, rng)
+        gap = float(np.linalg.norm(reference_compose(fitted_library, parser_hat, x, w)
+                                   - reference_compose(true_library, parser_true, x, w)))
+        match = bool(np.array_equal(reference_parse(parser_hat, w), reference_parse(parser_true, w)))
+        within = gap <= bound + 1e-12
+        n_within += within
+        n_match += match
+        rows.append({"word_id": i, "parse_match": int(match), "gap_l2": gap,
+                     "bound": float(bound), "within_bound": int(within)})
+    freq = n_within / n_mc
+    target = 1.0 - T * eps_g - T * T * spec.alpha_shift
+    if target <= 0.0:
+        holds, band = True, 0.0
+    else:
+        band = 1.645 * math.sqrt(max(target * (1.0 - target), 1.0 / n_mc) / n_mc)
+        holds = freq >= target - band
+    return {
+        "T": int(T), "n_mc": int(n_mc), "eps_f": float(eps_f), "eps_g": float(eps_g),
+        "k_module": float(K), "alpha_shift": float(spec.alpha_shift), "gap_bound": float(bound),
+        "freq_within": float(freq), "freq_parse_match": float(n_match / n_mc),
+        "target": float(target), "band": float(band), "holds": bool(holds), "rows": rows,
+    }

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -359,10 +360,36 @@ def test_cli_negative_scenario_seed_exits_2(tmp_path, capsys, command, key):
     ("transfer", default_with("transfer", k=3), "k = 3 < d = 6"),
     ("verify", {"scale": 0, "checks": ["strong-convexity-mc"]}, "out of range: scale must be > 0"),
     ("verify", {"scale": -1, "checks": ["strong-convexity-mc"]}, "out of range: scale must be > 0"),
+    # Counts below 1 (int() made them 0) and reals outside their domain: each
+    # used to run, silently or into an error raised after the output
+    # directory was made (the sweep, before writing its files).
+    ("modules", default_with("modules", T=0.5), "out of range: T must be >= 1"),
+    ("transfer", default_with("transfer", n_g=0.5), "out of range: n_g must be >= 1"),
+    ("transfer", default_with("transfer", n_p=0.5), "out of range: n_p must be >= 1"),
+    ("bandit", default_with("bandit", trace_stride=0.5), "out of range: trace_stride must be >= 1"),
+    ("bandit", default_with("bandit", T=0.5), "out of range: T must be >= 1"),
+    ("identify", default_with("identify", n_grid=[0.5]), "out of range: n_grid must be >= 1"),
+    ("identify", default_with("identify", n_eval=0.5), "out of range: n_eval must be >= 1"),
+    ("identify", default_with("identify", train={"max_iters": 0.5}),
+     "out of range: train.max_iters must be >= 1"),
+    ("modules", default_with("modules", n_mc=0.5), "out of range: n_mc must be >= 1"),
+    ("modules", default_with("modules", n_train=0.5), "out of range: n_train must be >= 1"),
+    ("modules", default_with("modules", n_parser_words=0.5), "out of range: n_parser_words must be >= 1"),
+    ("sweep", {"axis": "T_modules", "grid": [0.5, 2, 3], "base": default_without("modules", "T")},
+     "out of range: grid must be >= 1"),
+    ("modules", default_with("modules", alpha_shift=-0.1), "out of range: alpha_shift must be >= 0 and <= 2"),
+    ("modules", default_with("modules", alpha_shift=3), "out of range: alpha_shift must be >= 0 and <= 2"),
+    ("identify", default_with("identify", delta=1.5), "out of range: delta must be > 0 and < 1"),
+    ("identify", default_with("identify", delta=1), "out of range: delta must be > 0 and < 1"),
+    ("bandit", default_with("bandit", spectrum=[1, -0.3, 0.1]), "out of range: spectrum must be >= 0"),
+    ("bandit", default_with("bandit", xi_max=-0.02), "out of range: xi_max must be >= 0"),
+    ("transfer", default_with("transfer", B=-0.1), "out of range: B must be >= 0"),
 ])
 def test_cli_scenario_value_outside_its_domain_exits_2(tmp_path, capsys, command, scenario, message):
-    status = cli.main([command, "--scenario", write_scenario(tmp_path, scenario),
-                       "--out", str(tmp_path / "out")])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a negative spectrum entry once warned in np.sqrt
+        status = cli.main([command, "--scenario", write_scenario(tmp_path, scenario),
+                           "--out", str(tmp_path / "out")])
     assert status == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -399,6 +426,15 @@ def test_builders_read_only_declared_keys(tmp_path, command):
 def test_readme_documents_every_scenario_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     assert [key for key in harness.SCENARIO_KEYS if f"| `{key}` |" not in readme] == []
+
+
+def test_readme_key_table_bounds_match_the_scenario_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = {cells[1].strip("`"): cells[3] for cells in
+            ([c.strip() for c in line.split("|")] for line in readme.splitlines())
+            if len(cells) == 7}
+    assert {key: rows[key] for key in harness.SCENARIO_KEYS} == {
+        key: spec.bounds or "" for key, spec in harness.SCENARIO_KEYS.items()}
 
 
 def test_strong_convexity_check_holds_at_small_scale():

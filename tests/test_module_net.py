@@ -5,6 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import (
+    mixture_bruteforce,
+    reference_composition_experiment,
+    reference_measured_lipschitz,
+    reference_parse,
+    reference_sample_word,
+    reference_uniform_ball,
+)
 from qni_lab import module_net as mn, qnn_core as core
 from qni_lab.errors import RejectedInput
 
@@ -49,6 +57,24 @@ def test_parse_rejects_foreign_tokens():
     parser = mn.Parser(np.ones((2, 3), dtype=int))
     with pytest.raises(RejectedInput):
         mn.parse(parser, np.array([0, 5]))
+
+
+@pytest.mark.parametrize("row", [0, 3, 6])
+@pytest.mark.parametrize("token", [-1, 2])
+def test_batched_parse_rejects_a_foreign_token_in_any_row(row, token):
+    parser = mn.Parser(np.ones((2, 3), dtype=int))
+    words = np.zeros((7, 4), dtype=int)
+    words[row, 2] = token
+    with pytest.raises(RejectedInput):
+        mn.parse(parser, words)
+
+
+def test_batched_parse_matches_the_per_word_fold():
+    rng = np.random.default_rng(40)
+    parser = mn.random_parser(5, 4, rng)
+    words = rng.integers(0, 5, size=(300, 9))
+    assert np.array_equal(mn.parse(parser, words), [reference_parse(parser, w) for w in words])
+    assert mn.parse(parser, np.zeros((3, 0), dtype=int)).shape == (3, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -116,12 +142,11 @@ def test_sample_word_bigram_frequencies():
     rng = np.random.default_rng(6)
     chain = mn.random_chain(3, 2, rng)
     n = 100_000
+    words = mn.sample_words(chain, rng.random((n, chain.T)))  # the words n sample_word calls give
     counts = np.zeros((3, 3))
     firsts = np.zeros(3)
-    for _ in range(n):
-        w = mn.sample_word(chain, rng)
-        firsts[w[0]] += 1
-        counts[w[0], w[1]] += 1
+    np.add.at(firsts, words[:, 0], 1)
+    np.add.at(counts, (words[:, 0], words[:, 1]), 1)
     for z in range(3):
         assert firsts[z] / n == pytest.approx(chain.initial[z], abs=4 * math.sqrt(0.25 / n))
         row_n = firsts[z]
@@ -129,6 +154,58 @@ def test_sample_word_bigram_frequencies():
             for z2 in range(3):
                 se = math.sqrt(0.25 / row_n)
                 assert counts[z, z2] / row_n == pytest.approx(chain.transition[z, z2], abs=4 * se)
+
+
+def _chain_with_zero_tokens(rng, nz, T):
+    """A random chain; about a third of its entries are set to zero, and
+    every row keeps at least one positive entry."""
+    rows = rng.dirichlet(np.ones(nz), size=nz + 1)
+    rows[rng.random(rows.shape) < 0.33] = 0.0
+    rows[np.arange(nz + 1), rng.integers(0, nz, size=nz + 1)] += 0.5
+    rows /= rows.sum(axis=1, keepdims=True)
+    return mn.TokenChain(rows[0], rows[1:], T=T)
+
+
+def test_sample_words_equal_the_choice_loop_and_leave_the_generator_where_it_did():
+    rng = np.random.default_rng(41)
+    Ts = [0, 1] * 20 + list(rng.integers(2, 9, size=180))
+    for i, T in enumerate(Ts):
+        nz = int(rng.integers(1, 7))
+        chain = _chain_with_zero_tokens(rng, nz, int(T)) if i % 2 else mn.random_chain(nz, int(T), rng)
+        seed = int(rng.integers(2**32))
+        ref_rng, rng_batched, rng_one = (np.random.default_rng(seed) for _ in range(3))
+        expected = [reference_sample_word(chain, ref_rng) for _ in range(25)]
+        words = mn.sample_words(chain, rng_batched.random((25, chain.T)))
+        singles = [mn.sample_word(chain, rng_one) for _ in range(25)]
+        assert words.shape == (25, chain.T)
+        assert np.array_equal(words, np.array(expected).reshape(25, chain.T))
+        assert all(np.array_equal(w, e) for w, e in zip(singles, expected))
+        nxt = ref_rng.random()
+        assert rng_batched.random() == nxt and rng_one.random() == nxt
+
+
+def test_sample_words_never_draw_a_zero_probability_token():
+    chain = mn.TokenChain(np.array([0.5, 0.0, 0.5]),
+                          np.array([[0.0, 1.0, 0.0], [0.3, 0.0, 0.7], [0.0, 0.0, 1.0]]), T=5)
+    words = mn.sample_words(chain, np.random.default_rng(42).random((2000, 5)))
+    assert not np.any(words[:, 0] == 1)
+    assert not np.any((words[:, :-1] == 0) & (words[:, 1:] != 1))
+
+
+def test_sample_words_break_ties_as_choice_does():
+    # choice takes searchsorted(cdf, u, side="right"): a uniform equal to a
+    # cumulative value, 0.0 included, goes past every token ending there
+    chain = mn.TokenChain(np.array([0.0, 0.25, 0.0, 0.75]), np.full((4, 4), 0.25), T=1)
+    words = mn.sample_words(chain, np.array([[0.0], [0.25], [0.5]]))
+    assert words[:, 0].tolist() == [1, 3, 3]
+
+
+def test_sample_words_rejects_uniforms_of_the_wrong_shape():
+    chain = mn.random_chain(3, 4, np.random.default_rng(43))
+    with pytest.raises(RejectedInput):
+        mn.sample_words(chain, np.zeros((5, 3)))
+    with pytest.raises(RejectedInput):
+        mn.sample_words(chain, np.zeros(4))
 
 
 def test_sample_word_seed_determinism():
@@ -223,7 +300,7 @@ def test_mixture_dp_equals_bruteforce(t):
     chain = mn.random_chain(3, 6, rng)
     parser = mn.random_parser(3, 3, rng)
     dp = mn.mixture_distribution(chain, parser, t)
-    bf = mn.mixture_bruteforce(chain, parser, t)
+    bf = mixture_bruteforce(chain, parser, t)
     assert np.abs(dp - bf).max() <= 1e-12
 
 
@@ -380,6 +457,39 @@ def test_sequence_error_montecarlo_path_rejects_zero_samples():
         mn.sequence_error_check(parser, parser, chain, 0, 3)
 
 
+def test_sequence_error_montecarlo_path_equals_the_per_word_loop():
+    rng = np.random.default_rng(44)
+    chain = mn.random_chain(4, 12, rng)
+    parser_true = mn.random_parser(4, 3, rng)
+    mask = rng.random(parser_true.table.shape) < 0.2
+    mask[0, 0] = True
+    parser_hat = mn.Parser(np.where(mask, parser_true.table % 3 + 1, parser_true.table))
+    word_rng = np.random.default_rng(5)
+    bad = 0
+    for _ in range(1500):
+        w = reference_sample_word(chain, word_rng)
+        bad += not np.array_equal(reference_parse(parser_hat, w), reference_parse(parser_true, w))
+    out = mn.sequence_error_check(parser_hat, parser_true, chain, 1500, 5)
+    assert not out["exact"] and bad > 0
+    assert out["sequence_error"] == bad / 1500
+
+
+@pytest.mark.parametrize("T", [0, 1, 5])
+def test_sequence_error_enumerated_path_equals_the_per_word_sum(T):
+    rng = np.random.default_rng(53 + T)
+    chain = _chain_with_zero_tokens(rng, 3, T)
+    parser_true = mn.random_parser(3, 3, rng)
+    parser_hat = mn.Parser(np.where(rng.random((3, 4)) < 0.3, parser_true.table % 3 + 1, parser_true.table))
+    words, probs = mn.enumerate_word_distribution(chain)
+    err = 0.0
+    for w, p in zip(words, probs):
+        if p > 0.0 and not np.array_equal(reference_parse(parser_hat, w), reference_parse(parser_true, w)):
+            err += p
+    out = mn.sequence_error_check(parser_hat, parser_true, chain, 0, 0)
+    assert out["exact"] and (err > 0.0 or T == 0)
+    assert out["sequence_error"] == err
+
+
 # ---------------------------------------------------------------------------
 # module errors and the composition experiment
 
@@ -399,7 +509,7 @@ def test_module_sup_error_dominates_sampled_gaps():
                             core.TrainConfig(learning_rate=0.15, max_iters=1200, grad_tol=1e-8), seed=21)
     eps_f, _ = mn.module_sup_error(fitted, lib)
     for _ in range(300):
-        x = mn._uniform_ball(2, 1.0, rng)
+        x = reference_uniform_ball(2, 1.0, rng)
         for j in range(1, 4):
             gap = np.linalg.norm(fitted.apply(j, x) - lib.apply(j, x))
             assert gap <= eps_f + 1e-9
@@ -441,7 +551,7 @@ def test_library_lipschitz_construction_and_contraction():
     assert lib.lipschitz_bound() == pytest.approx(0.8, rel=1e-9)
     # outputs stay well inside the ball for a contractive target
     for _ in range(200):
-        x = mn._uniform_ball(3, 1.0, rng)
+        x = reference_uniform_ball(3, 1.0, rng)
         for j in (1, 2):
             assert np.linalg.norm(lib.apply(j, x)) <= 1.0
     measured = lib.measured_lipschitz(300, rng)
@@ -499,3 +609,67 @@ def test_composition_experiment_expansive_bound():
     assert report["gap_bound"] == pytest.approx(6 * report["eps_f"] * 1.5**5, rel=1e-9)
     matched = [r for r in report["rows"] if r["parse_match"]]
     assert matched and all(r["within_bound"] for r in matched)
+
+
+# ---------------------------------------------------------------------------
+# the batched composition path against the per-word oracles
+
+
+@pytest.fixture(scope="module")
+def c13_libraries():
+    """C13's library shape (d=2, k=3, x_max=1, K=0.9) and an expansive one
+    (K=1.5), each with a short fit: equality does not need a good fit."""
+    rng = np.random.default_rng(45)
+    cfg = core.TrainConfig(learning_rate=0.15, max_iters=200, grad_tol=1e-8)
+    out = {}
+    for lipschitz in (0.9, 1.5):
+        lib = mn.make_library(2, 3, 1.0, lipschitz, rng)
+        out[lipschitz] = (lib, mn.fit_library(lib, 100, 0.02, "uniform", cfg, seed=46))
+    return out
+
+
+@pytest.mark.parametrize("lipschitz, T", [(0.9, 1), (0.9, 2), (0.9, 8), (1.5, 4)])
+def test_composition_experiment_equals_the_per_word_oracle(c13_libraries, lipschitz, T):
+    lib, fitted = c13_libraries[lipschitz]
+    rng = np.random.default_rng(47 + T)
+    parser_true = mn.random_parser(4, 3, rng)
+    table = parser_true.table.copy()
+    table[rng.random(table.shape) < 0.15] = 2
+    parser_hat = mn.Parser(table)
+    chain = mn.random_chain(4, T, rng)
+    spec = mn.ShiftSpec(chain, mn.shifted_chain(chain, 0.005, rng), 0.005)
+    report = mn.composition_error_experiment(lib, fitted, parser_true, parser_hat, spec, 300, 48 + T)
+    expected = reference_composition_experiment(lib, fitted, parser_true, parser_hat, spec, 300, 48 + T)
+    assert report.keys() == expected.keys()
+    for key in expected:
+        assert report[key] == expected[key], key
+
+
+@pytest.mark.parametrize("d, lipschitz", [(2, 0.9), (3, 1.5), (10, 0.8)])
+def test_measured_lipschitz_equals_the_per_pair_loop(d, lipschitz):
+    lib = mn.make_library(d, 3, 1.0, lipschitz, np.random.default_rng(49))
+    assert lib.measured_lipschitz(250, np.random.default_rng(50)) == reference_measured_lipschitz(
+        lib, 250, np.random.default_rng(50))
+
+
+def test_batched_compose_rows_equal_one_row_calls():
+    rng = np.random.default_rng(51)
+    lib = tiny_library(rng)
+    parser = mn.random_parser(3, 3, rng)
+    words = rng.integers(0, 3, size=(40, 5))
+    x = rng.uniform(-0.5, 0.5, size=(40, 2))
+    out, trace = mn.compose(lib, parser, x, words)
+    assert out.shape == (40, 2) and len(trace) == 6
+    for i in range(40):
+        assert np.array_equal(out[i], mn.compose(lib, parser, x[i], words[i])[0])
+    with pytest.raises(RejectedInput):
+        mn.compose(lib, parser, x[:39], words)
+    with pytest.raises(RejectedInput):
+        lib.apply(np.full(40, 4), x)
+
+
+def test_library_rejects_coordinate_nets_of_different_widths():
+    rng = np.random.default_rng(52)
+    nets = (core.QuadNet(rng.standard_normal((2, 3))), core.QuadNet(rng.standard_normal((2, 4))))
+    with pytest.raises(RejectedInput):
+        mn.ModuleLibrary((nets,), x_max=1.0)
