@@ -29,6 +29,7 @@ from .qnn_core import (
     population_loss_exact,
     population_loss_mc,
     projected_gd,
+    projected_gd_stack,
     train_gd,
 )
 from .identify import (

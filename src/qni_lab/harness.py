@@ -124,10 +124,13 @@ def _bad_values(values: dict, prefix: str = "") -> list[str]:
             bad.append(f"wrong type: {name}")
         elif spec.kind is dict:
             bad += _bad_values(value, name + ".")
-        elif spec.bounds is not None and not all(
-            _within(v, spec.bounds) for v in (value if spec.kind is list else [value])
-        ):
-            bad.append(f"out of range: {name} must be {spec.bounds.replace(',', ' and')}")
+        elif spec.bounds is not None:
+            entries = value if spec.kind is list else [value]
+            # JSON reads Infinity, which meets a lower bound and then overflows int()
+            if not all(-math.inf < v < math.inf for v in entries):
+                bad.append(f"out of range: {name} must be finite")
+            elif not all(_within(v, spec.bounds) for v in entries):
+                bad.append(f"out of range: {name} must be {spec.bounds.replace(',', ' and')}")
     return bad
 
 
@@ -504,18 +507,17 @@ def _check_identification_dominance(scale: float, seed: int) -> CheckResult:
     alpha = core.nominal_alpha(sampler)
     cfg = core.TrainConfig(learning_rate=0.2, max_iters=3000, grad_tol=1e-9)
     runs = max(int(5 * scale), 2)
+    datasets = [core.generate_dataset(truth, sampler, 0.0, "zero", n, seed + 100 + r) for r in range(runs)]
+    starts = [core.seeded_start(d, k, replace(cfg, seed=seed + 200 + r)) for r in range(runs)]
+    fits = core.projected_gd_stack(datasets, starts, cfg, radius=b.theta_max)
+    bound = identify.epsilon_bound(n, d, 0.1, b)
     all_ok = True
     worst = 0.0
-    fits = []
-    for r in range(runs):
-        data = core.generate_dataset(truth, sampler, 0.0, "zero", n, seed + 100 + r)
-        fit = core.train_gd(data, d, k, replace(cfg, seed=seed + 200 + r), theta_max=b.theta_max)
-        bound = identify.epsilon_bound(n, d, 0.1, b)
+    for fit in fits:
         verdict = identify.identification_check(truth, fit.net, bound, alpha, b.x_max)
         all_ok = all_ok and verdict.holds and verdict.frob_holds
         worst = max(worst, verdict.measured_sup_gap_sq / verdict.certified_sup_gap_sq)
-        fits.append(fit.diagnostics())
-    return CheckResult(all_ok, {"worst_ratio": worst, "runs": runs, "fits": fits})
+    return CheckResult(all_ok, {"worst_ratio": worst, "runs": runs, "fits": [fit.diagnostics() for fit in fits]})
 
 
 def _check_smooth_best_arm(scale: float, seed: int) -> CheckResult:

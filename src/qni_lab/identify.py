@@ -183,25 +183,25 @@ def robust_shift_experiment(
         bounds = core.BoundSpec(x_max=x_max, theta_max=theta_max, phi_max=theta_max**2, xi_max=xi_max)
     if alpha is None:
         alpha = resolve_alpha(sampler_p)
+    grid = [(n, seed) for n in n_grid for seed in seeds]
+    datasets = [core.generate_dataset(truth, sampler_p, xi_max, noise_kind, n, seed) for n, seed in grid]
+    starts = [core.seeded_start(truth.d, truth.k, replace(cfg, seed=seed + 1)) for _, seed in grid]
+    results = core.projected_gd_stack(datasets, starts, cfg, radius=bounds.theta_max)
     rows, fits = [], []
-    for n in n_grid:
-        for seed in seeds:
-            data = core.generate_dataset(truth, sampler_p, xi_max, noise_kind, n, seed)
-            fit = core.train_gd(data, truth.d, truth.k, replace(cfg, seed=seed + 1),
-                                theta_max=bounds.theta_max)
-            bound = epsilon_bound(n, truth.d, delta, bounds)
-            verdict = identification_check(truth, fit.net, bound, alpha, bounds.x_max)
-            rng_eval = np.random.default_rng(seed + 2)
-            Xq = sampler_q.sample(n_eval, rng_eval)
-            diff = core.forward_batch(fit.net, Xq) - core.forward_batch(truth, Xq)
-            rows.append({
-                "n": int(n),
-                "seed": int(seed),
-                "shift_id": sampler_q.describe(),
-                "emp_loss_q": float(np.mean(diff * diff)),
-                "sup_gap_sq": verdict.measured_sup_gap_sq,
-                "certified_bound": verdict.certified_sup_gap_sq,
-                "holds": int(verdict.holds),
-            })
-            fits.append({"n": int(n), "seed": int(seed), **fit.diagnostics()})
+    for (n, seed), fit in zip(grid, results):
+        bound = epsilon_bound(n, truth.d, delta, bounds)
+        verdict = identification_check(truth, fit.net, bound, alpha, bounds.x_max)
+        rng_eval = np.random.default_rng(seed + 2)
+        Xq = sampler_q.sample(n_eval, rng_eval)
+        diff = core.forward_batch(fit.net, Xq) - core.forward_batch(truth, Xq)
+        rows.append({
+            "n": int(n),
+            "seed": int(seed),
+            "shift_id": sampler_q.describe(),
+            "emp_loss_q": float(np.mean(diff * diff)),
+            "sup_gap_sq": verdict.measured_sup_gap_sq,
+            "certified_bound": verdict.certified_sup_gap_sq,
+            "holds": int(verdict.holds),
+        })
+        fits.append({"n": int(n), "seed": int(seed), **fit.diagnostics()})
     return rows, fits

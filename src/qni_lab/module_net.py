@@ -611,20 +611,17 @@ def fit_library(
     seed: int,
 ) -> ModuleLibrary:
     """Fit every coordinate net of every module on fresh execution pairs
-    (inputs drawn from the cube inscribed in the domain ball); the fits'
-    TrainResults ride along in the library's `fits`."""
+    (inputs drawn from the cube inscribed in the domain ball), all k * d fits
+    as one stack; the fits' TrainResults ride along in the library's `fits`."""
     d = true_library.d
     sampler = core.CovariateSampler.uniform_cube(d, true_library.x_max / math.sqrt(d))
-    fits = []
-    s = seed
-    for j in range(true_library.k):
-        coords = []
-        for c in range(d):
-            truth = true_library.modules[j][c]
-            data = core.generate_dataset(truth, sampler, xi_max, noise_kind, n_per_coordinate, s)
-            coords.append(core.train_gd(data, d, truth.k, replace(cfg, seed=s + 1)))
-            s += 2
-        fits.append(tuple(coords))
+    datasets, starts = [], []
+    for i, truth in enumerate(net for coords in true_library.modules for net in coords):
+        s = seed + 2 * i
+        datasets.append(core.generate_dataset(truth, sampler, xi_max, noise_kind, n_per_coordinate, s))
+        starts.append(core.seeded_start(d, truth.k, replace(cfg, seed=s + 1)))
+    results = core.projected_gd_stack(datasets, starts, cfg)
+    fits = tuple(tuple(results[j * d:(j + 1) * d]) for j in range(true_library.k))
     modules = tuple(tuple(res.net for res in coords) for coords in fits)
     return ModuleLibrary(modules, x_max=true_library.x_max, fits=tuple(fits))
 

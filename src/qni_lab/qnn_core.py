@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -502,6 +503,151 @@ def _moments(
     return m4, cy.reshape(d, d), ey2
 
 
+def _stack_loss_and_gradient(
+    theta: np.ndarray, m4: np.ndarray, cy: np.ndarray, ey2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Moment-form losses (b,) and gradients (b, d, k) of a (b, d, k) stack of
+    nets: with A = mat(M4 vec(phi)) - C, the loss <phi, A - C> + E[y^2] and
+    the gradient 4 A theta. Each fit gets the bits the same expressions give
+    on its own 2-D arrays."""
+    b, d, _ = theta.shape
+    phi = theta @ theta.mT
+    a = np.matvec(m4, phi.reshape(b, d * d)).reshape(b, d, d) - cy
+    loss = np.add.reduce((phi * (a - cy)).reshape(b, d * d), axis=1) + ey2
+    return loss, 4.0 * (a @ theta)
+
+
+def _sq_norms(t: np.ndarray) -> list[float]:
+    """Squared Frobenius norm of each matrix of a stack: the dot product
+    np.linalg.norm takes, so its square root has the same bits."""
+    flat = t.reshape(t.shape[0], -1)
+    return np.vecdot(flat, flat).tolist()
+
+
+def projected_gd_stack(
+    datasets: Sequence[Dataset],
+    theta0s: Sequence[np.ndarray],
+    cfg: TrainConfig,
+    centers: Sequence[np.ndarray] | None = None,
+    radius: float | None = None,
+) -> list[TrainResult]:
+    """Full-batch gradient descent with a constant step on a stack of
+    independent fits of one shape d x k: fit i starts at theta0s[i] and runs
+    on datasets[i]. Each fit takes, bit for bit, the steps and the stop it
+    would take alone; the stack runs them in one loop over (B, d, k) arrays.
+
+    The loss depends on theta only through phi = theta theta^T, so each fit
+    runs on its sample's moments: with A = mat(M4 vec(phi)) - C, the loss is
+    <phi, A - C> + E[y^2] and the gradient 4 A theta, at a cost per
+    iteration that does not depend on n. final_loss is the per-sample
+    empirical_loss at the returned net (the moment form cancels to ~1e-16
+    E[y^2]); grad_norm is the gradient norm there.
+
+    When radius is given, each start point and every step are projected onto
+    the Frobenius ball of that radius around the fit's centre (the origin by
+    default). A fit stops when ||g|| <= grad_tol, or after a step the
+    projection shortened that moved theta by at most grad_tol * learning_rate
+    (stalled on the boundary); either stop counts as converged, and the fit
+    leaves the stack. Raises Diverged if a loss exceeds the divergence
+    threshold, for the lowest-index fit that does, at its iteration and loss:
+    what running the fits one after another would raise.
+    """
+    n_fits = len(datasets)
+    if n_fits == 0 or len(theta0s) != n_fits or (centers is not None and len(centers) != n_fits):
+        raise RejectedInput("a stack needs at least one fit, and one start (and centre) per dataset")
+    starts = [np.asarray(t, dtype=float) for t in theta0s]
+    centres = [np.zeros_like(t) for t in starts] if centers is None else [np.asarray(c, dtype=float) for c in centers]
+    for data, t, c in zip(datasets, starts, centres):
+        if data.n < 1:
+            raise RejectedInput("dataset is empty")
+        if t.ndim != 2 or t.shape[0] != data.d:
+            raise RejectedInput(f"theta0 must have {data.d} rows, got shape {t.shape}")
+        if t.shape != starts[0].shape:
+            raise RejectedInput(f"the fits of a stack share d x k, got {starts[0].shape} and {t.shape}")
+        if c.shape != t.shape:
+            raise RejectedInput(f"a centre must have its start's shape {t.shape}, got {c.shape}")
+    if radius is not None and radius < 0:
+        raise RejectedInput("radius must be >= 0")
+    tol, lr = cfg.grad_tol, cfg.learning_rate
+
+    def project(t: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        """t with each fit outside its ball pulled onto it (in place), and
+        the positions of those fits."""
+        if radius is None:
+            return t, []
+        offset = t - c
+        sq = _sq_norms(offset)
+        if math.sqrt(max(sq)) <= radius:
+            return t, []
+        out = [p for p, s in enumerate(sq) if math.sqrt(s) > radius]
+        for p in out:
+            t[p] = c[p] + offset[p] * (radius / math.sqrt(sq[p]))
+        return t, out
+
+    def grad_norms(m: list[int] | slice, t: np.ndarray) -> list[float]:
+        """Gradient norms of the fits at stack positions m, at the nets t."""
+        return [math.sqrt(s) for s in _sq_norms(_stack_loss_and_gradient(t, m4[m], cy[m], ey2[m])[1])]
+
+    m4, cy, ey2 = (np.array(s) for s in zip(*(_moments(data.X, data.y) for data in datasets)))
+    c = np.array(centres)
+    theta, _ = project(np.array(starts), c)
+    live = list(range(n_fits))  # the fit at each stack position
+    final = [None] * n_fits
+    iterations = [cfg.max_iters] * n_fits
+    grad_norm = [math.inf] * n_fits
+    stalled = [False] * n_fits
+    diverged = None
+    for it in range(1, cfg.max_iters + 1):
+        loss, g = _stack_loss_and_gradient(theta, m4, cy, ey2)
+        losses = loss.tolist()
+        if not (max(losses) <= DIVERGENCE_THRESHOLD and math.isfinite(sum(losses))):
+            p = next(p for p, x in enumerate(losses) if not (math.isfinite(x) and x <= DIVERGENCE_THRESHOLD))
+            # run alone, the fits after this one would never start
+            diverged = Diverged(it, losses[p])
+            live = live[:p]
+            if not live:
+                break
+            theta, g, c, m4, cy, ey2 = theta[:p], g[:p], c[:p], m4[:p], cy[:p], ey2[:p]
+        gsq = _sq_norms(g)
+        done = []
+        if math.sqrt(min(gsq)) <= tol:
+            done = [p for p, s in enumerate(gsq) if math.sqrt(s) <= tol]
+            for p in done:
+                final[live[p]], iterations[live[p]], grad_norm[live[p]] = theta[p], it, math.sqrt(gsq[p])
+        step, shortened = project(theta - lr * g, c)
+        if shortened:
+            moved = _sq_norms(step - theta)
+            stall = [p for p in shortened if math.sqrt(moved[p]) <= tol * lr and p not in done]
+            if stall:
+                for p, gn in zip(stall, grad_norms(stall, step[stall])):
+                    final[live[p]], iterations[live[p]], grad_norm[live[p]] = step[p], it, gn
+                    stalled[live[p]] = True
+                done += stall
+        theta = step
+        if done:
+            keep = [p for p in range(len(live)) if p not in done]
+            live = [live[p] for p in keep]
+            if not live:
+                break
+            theta, c, m4, cy, ey2 = theta[keep], c[keep], m4[keep], cy[keep], ey2[keep]
+    if diverged is not None:
+        raise diverged
+    if live:  # these fits ran to max_iters
+        for i, t, gn in zip(live, theta, grad_norms(slice(None), theta)):
+            final[i], grad_norm[i] = t, gn
+    nets = [QuadNet(t) for t in final]
+    return [
+        TrainResult(
+            net=net,
+            converged=stalled[i] or grad_norm[i] <= tol,
+            iterations=iterations[i],
+            final_loss=empirical_loss(net, data),
+            grad_norm=grad_norm[i],
+        )
+        for i, (net, data) in enumerate(zip(nets, datasets))
+    ]
+
+
 def projected_gd(
     data: Dataset,
     theta0: np.ndarray,
@@ -509,75 +655,20 @@ def projected_gd(
     center: np.ndarray | None = None,
     radius: float | None = None,
 ) -> TrainResult:
-    """Full-batch gradient descent with a constant step, started at theta0.
+    """One fit by projected_gd_stack, started at theta0, inside the Frobenius
+    ball of that radius around center (the origin by default) when given."""
+    return projected_gd_stack([data], [theta0], cfg, None if center is None else [center], radius)[0]
 
-    The loss depends on theta only through phi = theta theta^T, so it runs on
-    the sample's moments: with A = mat(M4 vec(phi)) - C, the loss is
-    <phi, A - C> + E[y^2] and the gradient 4 A theta, at a cost per
-    iteration that does not depend on n. final_loss is the per-sample
-    empirical_loss at the returned net (the moment form cancels to ~1e-16
-    E[y^2]); grad_norm is the gradient norm there.
 
-    When radius is given, the start point and every step are projected onto
-    the Frobenius ball of that radius around center (the origin by default).
-    Stops when ||g|| <= grad_tol, or after a step the projection shortened
-    that moved theta by at most grad_tol * learning_rate (stalled on the
-    boundary); either stop counts as converged. Raises Diverged if the loss
-    exceeds the divergence threshold.
-    """
-    theta = np.array(theta0, dtype=float)
-    if data.n < 1:
-        raise RejectedInput("dataset is empty")
-    if theta.ndim != 2 or theta.shape[0] != data.d:
-        raise RejectedInput(f"theta0 must have {data.d} rows, got shape {theta.shape}")
-    if radius is not None and radius < 0:
-        raise RejectedInput("radius must be >= 0")
-    c = np.zeros_like(theta) if center is None else np.asarray(center, dtype=float)
-
-    def project(t: np.ndarray) -> tuple[np.ndarray, bool]:
-        if radius is None:
-            return t, False
-        offset = t - c
-        nrm = float(np.linalg.norm(offset))
-        if nrm <= radius:
-            return t, False
-        return c + offset * (radius / nrm), True
-
-    theta, _ = project(theta)
-    d = data.d
-    m4, cy, ey2 = _moments(data.X, data.y)
-
-    def loss_and_gradient(t: np.ndarray) -> tuple[float, np.ndarray]:
-        phi = t @ t.T
-        a = (m4 @ phi.ravel()).reshape(d, d) - cy
-        return float(np.sum(phi * (a - cy))) + ey2, 4.0 * (a @ t)
-
-    grad_norm = math.inf
-    stalled = False
-    it = 0
-    for it in range(1, cfg.max_iters + 1):
-        loss, g = loss_and_gradient(theta)
-        if not math.isfinite(loss) or loss > DIVERGENCE_THRESHOLD:
-            raise Diverged(it, loss)
-        grad_norm = float(np.linalg.norm(g))
-        if grad_norm <= cfg.grad_tol:
-            break
-        step, shortened = project(theta - cfg.learning_rate * g)
-        stalled = shortened and float(np.linalg.norm(step - theta)) <= cfg.grad_tol * cfg.learning_rate
-        theta = step
-        if stalled:
-            break
-    if grad_norm > cfg.grad_tol:
-        # the last step moved theta: report the gradient at the returned net
-        grad_norm = float(np.linalg.norm(loss_and_gradient(theta)[1]))
-    net = QuadNet(theta)
-    return TrainResult(
-        net=net,
-        converged=stalled or grad_norm <= cfg.grad_tol,
-        iterations=it,
-        final_loss=empirical_loss(net, data),
-        grad_norm=grad_norm,
-    )
+def seeded_start(d: int, k: int, cfg: TrainConfig) -> np.ndarray:
+    """The random d x k start of a fit, seeded by cfg.seed: i.i.d. uniform in
+    [-s, s] with s = init_scale (default 0.5/sqrt(k)); exact zero init is a
+    stationary point and is avoided."""
+    if k < 1:
+        raise RejectedInput("k must be >= 1")
+    rng = np.random.default_rng(cfg.seed)
+    scale = cfg.init_scale if cfg.init_scale is not None else 0.5 / math.sqrt(k)
+    return rng.uniform(-scale, scale, size=(d, k))
 
 
 def train_gd(
@@ -587,20 +678,11 @@ def train_gd(
     cfg: TrainConfig,
     theta_max: float | None = None,
 ) -> TrainResult:
-    """Fit a quadratic net by projected_gd from a seeded random start, inside
-    the Frobenius ball of radius theta_max around the origin when given.
-
-    Initialization is i.i.d. uniform in [-s, s] with s = init_scale (default
-    0.5/sqrt(k)); exact zero init is a stationary point and is avoided.
-    """
+    """Fit a quadratic net by projected_gd from seeded_start, inside the
+    Frobenius ball of radius theta_max around the origin when given."""
     if data.d != d:
         raise RejectedInput(f"dataset dimension {data.d} does not match d={d}")
-    if k < 1:
-        raise RejectedInput("k must be >= 1")
-    rng = np.random.default_rng(cfg.seed)
-    scale = cfg.init_scale if cfg.init_scale is not None else 0.5 / math.sqrt(k)
-    theta0 = rng.uniform(-scale, scale, size=(d, k))
-    return projected_gd(data, theta0, cfg, radius=theta_max)
+    return projected_gd(data, seeded_start(d, k, cfg), cfg, radius=theta_max)
 
 
 def random_net(d: int, k: int, rng: np.random.Generator, frobenius_norm: float | None = None) -> QuadNet:

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -384,6 +385,14 @@ def test_cli_negative_scenario_seed_exits_2(tmp_path, capsys, command, key):
     ("bandit", default_with("bandit", spectrum=[1, -0.3, 0.1]), "out of range: spectrum must be >= 0"),
     ("bandit", default_with("bandit", xi_max=-0.02), "out of range: xi_max must be >= 0"),
     ("transfer", default_with("transfer", B=-0.1), "out of range: B must be >= 0"),
+    # JSON Infinity meets a lower bound: counts then overflowed int(), and a
+    # real ran into Diverged, both after the output directory was made.
+    ("modules", default_with("modules", T=math.inf), "out of range: T must be finite"),
+    ("modules", default_with("modules", n_mc=math.inf), "out of range: n_mc must be finite"),
+    ("identify", default_with("identify", train={"learning_rate": math.inf}),
+     "out of range: train.learning_rate must be finite"),
+    ("identify", default_with("identify", n_grid=[math.inf]), "out of range: n_grid must be finite"),
+    ("bandit", default_with("bandit", spectrum=[1, -math.inf, 0.1]), "out of range: spectrum must be finite"),
 ])
 def test_cli_scenario_value_outside_its_domain_exits_2(tmp_path, capsys, command, scenario, message):
     with warnings.catch_warnings():

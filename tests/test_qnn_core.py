@@ -365,6 +365,70 @@ def test_projected_gd_grad_norm_is_taken_at_the_returned_net(radius):
     assert not res.converged
 
 
+def cube_fit(rng, half_width, truth_norm, n, seed, d=2, k=3):
+    """A noiseless dataset on the cube of that half-width and a start near 0."""
+    truth = core.random_net(d, k, rng, truth_norm)
+    data = core.generate_dataset(truth, core.CovariateSampler.uniform_cube(d, half_width), 0.0, "zero", n, seed)
+    return data, rng.uniform(-0.3, 0.3, size=(d, k))
+
+
+def test_projected_gd_stack_matches_single_fits_and_the_per_sample_reference():
+    # one stack of fits of different n, each with its own centre, that stop in
+    # each way: at max_iters (a flat cube), on the gradient tolerance, and
+    # stalled on the ball's boundary (a truth of norm 3 outside it)
+    rng = np.random.default_rng(31)
+    cfg = core.TrainConfig(learning_rate=0.3, max_iters=1500, grad_tol=1e-5)
+    radius = 1.5
+    fits = [cube_fit(rng, hw, norm, n, seed) for seed, (hw, norm, n) in
+            enumerate([(0.2, 0.8, 50), (1.0, 0.8, 300), (1.0, 3.0, 200), (0.8, 0.8, 120)])]
+    datasets, starts = [data for data, _ in fits], [theta0 for _, theta0 in fits]
+    centres = [rng.uniform(-0.2, 0.2, size=(2, 3)) for _ in fits]
+    stack = core.projected_gd_stack(datasets, starts, cfg, centres, radius)
+    stops = []
+    for data, theta0, centre, res in zip(datasets, starts, centres, stack):
+        alone = core.projected_gd(data, theta0, cfg, center=centre, radius=radius)
+        assert np.array_equal(res.net.theta, alone.net.theta)
+        assert res.diagnostics() == alone.diagnostics()
+        theta, iterations, converged = reference_projected_gd(data, theta0, cfg, center=centre, radius=radius)
+        assert np.max(np.abs(res.net.theta - theta)) <= 1e-10
+        assert (res.iterations, res.converged) == (iterations, converged)
+        stops.append("grad_tol" if res.grad_norm <= cfg.grad_tol else "boundary" if res.converged
+                     else "max_iters" if res.iterations == cfg.max_iters else "?")
+    assert stops == ["max_iters", "grad_tol", "boundary", "grad_tol"]
+    assert float(np.linalg.norm(stack[2].net.theta - centres[2])) == pytest.approx(radius, abs=1e-12)
+
+
+# At learning rate 3, a fit on the cube of half-width 1 diverges at iteration
+# 6, one of half-width 2 at iteration 3, and one of half-width 0.5 converges.
+@pytest.mark.parametrize("half_widths, first", [((1.0, 0.5, 2.0), 0), ((0.5, 0.5, 2.0), 2)])
+def test_projected_gd_stack_raises_for_its_lowest_diverging_fit(half_widths, first):
+    rng = np.random.default_rng(1)
+    cfg = core.TrainConfig(learning_rate=3.0, max_iters=300, grad_tol=1e-9)
+    fits = [cube_fit(rng, hw, 1.0, 100, 0) for hw in half_widths]
+    with pytest.raises(Diverged) as alone:
+        core.projected_gd(*fits[first], cfg)
+    if first == 0:  # the stack meets fit 2's divergence first
+        with pytest.raises(Diverged) as other:
+            core.projected_gd(*fits[2], cfg)
+        assert other.value.iteration < alone.value.iteration
+    with pytest.raises(Diverged) as stacked:
+        core.projected_gd_stack([data for data, _ in fits], [theta0 for _, theta0 in fits], cfg)
+    assert (stacked.value.iteration, stacked.value.loss) == (alone.value.iteration, alone.value.loss)
+
+
+def test_projected_gd_stack_rejects_bad_stacks():
+    rng = np.random.default_rng(2)
+    data, theta0 = cube_fit(rng, 0.5, 1.0, 20, 0)
+    wide_data, wide_theta0 = cube_fit(rng, 0.5, 1.0, 20, 1, k=4)
+    cfg = core.TrainConfig()
+    with pytest.raises(RejectedInput):
+        core.projected_gd_stack([], [], cfg)
+    with pytest.raises(RejectedInput):
+        core.projected_gd_stack([data, wide_data], [theta0, wide_theta0], cfg)
+    with pytest.raises(RejectedInput):
+        core.projected_gd_stack([data], [theta0], cfg, [np.zeros((2, 4))], 1.0)
+
+
 # ---------------------------------------------------------------------------
 # dataset generation
 
