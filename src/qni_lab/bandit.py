@@ -120,23 +120,6 @@ def exploration_length_raw(
     return inner ** (2.0 / 3.0)
 
 
-def exploration_length(
-    T: int, d: int, M: float, ell_max: float, phi_max: float, lipschitz: float,
-    scale: float = 1.0,
-) -> int:
-    """Exploration length, clamped to the horizon (pure exploration when it exceeds T)."""
-    raw = exploration_length_raw(T, d, M, ell_max, phi_max, lipschitz, scale)
-    return min(int(math.ceil(raw)), T)
-
-
-def sample_exploration_action(d: int, rng: np.random.Generator) -> np.ndarray:
-    """One action with coordinates i.i.d. uniform on [-1/sqrt(d), 1/sqrt(d)]."""
-    if d < 1:
-        raise RejectedInput("d must be >= 1")
-    hw = 1.0 / math.sqrt(d)
-    return rng.uniform(-hw, hw, size=d)
-
-
 def best_arm(phi: core.InducedForm) -> tuple[np.ndarray, float]:
     """Unit top eigenvector and its eigenvalue (deterministic sign convention)."""
     lam, vec = top_eigenpair(phi.phi)
@@ -178,11 +161,7 @@ def run_etc(
     )
     rewards_explore = f_explore + noise_explore
 
-    data = core.Dataset(actions_explore, rewards_explore, {
-        "sampler_id": f"uniform_scaled(d={d})",
-        "noise_id": f"uniform(xi_max={problem.xi_max:g})",
-        "seed": int(seed),
-    })
+    data = core.Dataset(actions_explore, rewards_explore)
     fit = core.train_gd(data, d, problem.theta_star.k, replace(cfg, seed=seed + 1),
                         theta_max=b.theta_max)
     x_hat, _ = best_arm(core.induced(fit.net))

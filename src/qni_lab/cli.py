@@ -31,14 +31,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.scenario is None:
         scenario = default_scenario(args.command)
     else:
-        path = Path(args.scenario)
-        if not path.exists():
-            print(f"scenario file not found: {path}", file=sys.stderr)
-            return EXIT_USAGE
+        # OSError: a missing path or a directory; ValueError: not UTF-8, or not JSON
         try:
-            scenario = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            print(f"could not parse scenario {path}: {exc}", file=sys.stderr)
+            scenario = json.loads(Path(args.scenario).read_text())
+        except (OSError, ValueError) as exc:
+            print(f"could not read scenario {args.scenario}: {exc}", file=sys.stderr)
             return EXIT_USAGE
 
     try:
@@ -62,6 +59,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except Diverged as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:  # such as an --out path that names a file
+        print(f"could not write output to {out_dir}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

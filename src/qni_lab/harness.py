@@ -138,8 +138,8 @@ def _check_scenario(command: str, scenario: dict) -> None:
     """Reject a scenario that lacks a key its command needs, holds a value
     of the wrong type or out of range (checked against SCENARIO_KEYS, in
     nested objects too), asks for a rank-d net with k < d, holds a sampler
-    that cannot be built, or names an unknown sweep axis or verify check,
-    before anything runs."""
+    that cannot be built, or names an unknown noise kind, sweep axis or
+    verify check, before anything runs."""
     if not isinstance(scenario, dict):
         raise RejectedInput("scenario must be a JSON object")
     where, skip, bad = "scenario", None, []
@@ -162,6 +162,9 @@ def _check_scenario(command: str, scenario: dict) -> None:
     if command in ("identify", "transfer"):
         for name in ("sampler", "shift", "shift_sampler"):
             sampler_from_dict(_value(scenario, name) or {}, scenario["d"])
+    noise_kind = scenario.get("noise_kind", "zero")
+    if command in ("identify", "transfer", "modules") and noise_kind not in core.NOISE_KINDS:
+        raise RejectedInput(f"unknown noise_kind {noise_kind!r}; known: {', '.join(core.NOISE_KINDS)}")
     if command == "verify":
         checks, names = scenario.get("checks") or [], list(VERIFY_CHECKS)
         if not isinstance(checks, list):
@@ -652,6 +655,7 @@ def run_sweep(config: ExperimentConfig) -> tuple[int, dict]:
     base = scenario.get("base", {})
     if grid is None or len(grid) < 3 or sorted(grid) != list(grid):
         raise RejectedInput("grid must be sorted ascending with at least 3 points")
+    config.out_dir.mkdir(parents=True, exist_ok=True)
 
     command, key = SWEEP_AXES[axis]
 
@@ -687,7 +691,6 @@ def run_sweep(config: ExperimentConfig) -> tuple[int, dict]:
         slope, intercept, stderr = bandit.fit_loglog_slope(np.array(grid, dtype=float), np.array(medians))
         summary.update({"slope": slope, "intercept": intercept, "stderr": stderr})
 
-    config.out_dir.mkdir(parents=True, exist_ok=True)
     header = sorted({k for r in results for k in r["row"]})
     write_csv(config.out_dir / "sweep.csv", header, [r["row"] for r in results])
     (config.out_dir / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")

@@ -100,15 +100,6 @@ def frobenius_gap(a, b) -> float:
     return float(np.linalg.norm(phi_a - phi_b))
 
 
-def covering_number_bound(n1: int, n2: int, radius: float, eps: float) -> float:
-    """Size bound (1 + 2R/eps)^(n1*n2) for an eps-net of a Frobenius ball."""
-    if n1 < 1 or n2 < 1 or radius < 0:
-        raise RejectedInput("n1, n2 must be >= 1 and radius >= 0")
-    if eps <= 0:
-        raise RejectedInput("eps must be positive")
-    return float((1.0 + 2.0 * radius / eps) ** (n1 * n2))
-
-
 @dataclass(frozen=True)
 class IdentificationVerdict:
     measured_sup_gap_sq: float

@@ -114,7 +114,6 @@ class ModuleLibrary:
     modules: tuple
     x_max: float
     k_module: float | None = None  # configured Lipschitz bound on the domain
-    eps_f: float | None = None  # uniform sup error vs a reference library, if known
     fits: tuple = ()  # TrainResult per coordinate net, per module, when fitted
     thetas: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -333,17 +332,6 @@ def sequence_tv_bruteforce(spec: ShiftSpec) -> float:
 # exact mixtures over (token, previous module)
 
 
-def mixture_distribution(chain: TokenChain, parser_true: Parser, t: int) -> np.ndarray:
-    """Step-t distribution over (z_t, j_{t-1}) as a |Z| x (k+1) array.
-
-    Row z, column j holds P[z_t = z, j_{t-1} = j]; column 0 (the start state)
-    carries mass only at t = 1.
-    """
-    if not (1 <= t <= chain.T):
-        raise RejectedInput(f"t must lie in 1..{chain.T}")
-    return mixture_distributions(chain, parser_true)[0][t - 1]
-
-
 def mixture_distributions(chain: TokenChain, parser_true: Parser):
     """All step mixtures p_1..p_T plus their average, by exact dynamic programming."""
     nz, k = chain.alphabet_size, parser_true.k
@@ -496,14 +484,6 @@ def module_sup_error(fitted: ModuleLibrary, true: ModuleLibrary) -> tuple[float,
             agg += (x_max**2 * rho) ** 2
         per_module.append(math.sqrt(agg))
     return max(per_module), per_module
-
-
-def module_error_bound(d: int, lipschitz: float, epsilon: float, alpha: float) -> float:
-    """Certified uniform module error sqrt(2 d K^2 eps / alpha) from the
-    per-coordinate identification bound and a union over coordinates."""
-    if d < 1 or lipschitz <= 0 or epsilon < 0 or alpha <= 0:
-        raise RejectedInput("need d >= 1, lipschitz > 0, epsilon >= 0, alpha > 0")
-    return math.sqrt(2.0 * d * lipschitz**2 * epsilon / alpha)
 
 
 def composition_error_experiment(

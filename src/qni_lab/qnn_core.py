@@ -9,10 +9,9 @@ identifiable object; all constants used by the bound machinery
 
 from __future__ import annotations
 
-import hashlib
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,9 +60,6 @@ class QuadNet:
 
     def frobenius_norm(self) -> float:
         return float(np.linalg.norm(self.theta))
-
-    def content_id(self) -> str:
-        return hashlib.sha1(self.theta.tobytes()).hexdigest()[:12]
 
 
 @dataclass(frozen=True)
@@ -169,11 +165,6 @@ class CovariateSampler:
     def unit_sphere(cls, d: int) -> "CovariateSampler":
         return cls("unit_sphere", d)
 
-    @classmethod
-    def point_mass(cls, x: np.ndarray) -> "CovariateSampler":
-        x = np.asarray(x, dtype=float)
-        return cls("custom_mixture", x.size, atoms=x.reshape(1, -1))
-
     @property
     def x_max(self) -> float:
         """Radius of the smallest origin-centered ball containing the support."""
@@ -213,11 +204,10 @@ class CovariateSampler:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Regression sample (X, y) with a record of how it was generated."""
+    """Regression sample (X, y)."""
 
     X: np.ndarray
     y: np.ndarray
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)
@@ -319,38 +309,6 @@ def gradient(net: QuadNet, data: Dataset) -> np.ndarray:
     p = data.X @ net.theta
     r = np.einsum("ij,ij->i", p, p) - data.y
     return (4.0 / data.n) * (data.X.T @ (r[:, None] * p))
-
-
-def population_loss_mc(
-    net: QuadNet,
-    truth: QuadNet,
-    sampler: CovariateSampler,
-    n_mc: int,
-    seed: int,
-) -> float:
-    """Monte-Carlo estimate of E[(net(x) - truth(x))^2] under the sampler."""
-    if n_mc < 1:
-        raise RejectedInput("n_mc must be >= 1")
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    remaining = n_mc
-    # chunked so n_mc = 1e7 does not allocate a giant matrix
-    while remaining > 0:
-        chunk = min(remaining, 1_000_000)
-        X = sampler.sample(chunk, rng)
-        diff = forward_batch(net, X) - forward_batch(truth, X)
-        total += float(np.sum(diff * diff))
-        remaining -= chunk
-    return total / n_mc
-
-
-def quadratic_form_second_moment(
-    sampler: CovariateSampler, delta: np.ndarray, n_mc: int, rng: np.random.Generator
-) -> float:
-    """Monte-Carlo estimate of E[(x^T Delta x)^2] for a fixed symmetric Delta."""
-    X = sampler.sample(n_mc, rng)
-    q = np.einsum("ni,ij,nj->n", X, delta, X)
-    return float(np.mean(q * q))
 
 
 def quadratic_form_second_moment_exact(sampler: CovariateSampler, delta: np.ndarray) -> float:
@@ -472,13 +430,7 @@ def generate_dataset(
                 xi[bad] = rng.normal(0.0, xi_max / 2.0, size=int(bad.sum()))
                 bad = np.abs(xi) > xi_max
             y = y + xi
-    provenance = {
-        "truth_id": truth.content_id(),
-        "sampler_id": sampler.describe(),
-        "noise_id": f"{noise_kind}(xi_max={xi_max:g})",
-        "seed": int(seed),
-    }
-    return Dataset(X, y, provenance)
+    return Dataset(X, y)
 
 
 def _moments(

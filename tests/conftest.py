@@ -55,6 +55,38 @@ def power_iteration_extreme(delta: np.ndarray, iters: int = 500, seed: int = 0) 
     return float(abs(v @ delta @ v))
 
 
+def point_mass(x: np.ndarray) -> core.CovariateSampler:
+    """The custom_mixture sampler with all its mass on one point."""
+    x = np.asarray(x, dtype=float)
+    return core.CovariateSampler("custom_mixture", x.size, atoms=x.reshape(1, -1))
+
+
+def population_loss_mc(net: core.QuadNet, truth: core.QuadNet, sampler: core.CovariateSampler,
+                       n_mc: int, seed: int) -> float:
+    """Monte-Carlo estimate of E[(net(x) - truth(x))^2] under the sampler,
+    oracle for core.population_loss_exact."""
+    rng = np.random.default_rng(seed)
+    total = 0.0
+    remaining = n_mc
+    # chunked so n_mc = 1e7 does not allocate a giant matrix
+    while remaining > 0:
+        chunk = min(remaining, 1_000_000)
+        X = sampler.sample(chunk, rng)
+        diff = core.forward_batch(net, X) - core.forward_batch(truth, X)
+        total += float(np.sum(diff * diff))
+        remaining -= chunk
+    return total / n_mc
+
+
+def quadratic_form_second_moment(sampler: core.CovariateSampler, delta: np.ndarray, n_mc: int,
+                                 rng: np.random.Generator) -> float:
+    """Monte-Carlo estimate of E[(x^T Delta x)^2] for a fixed symmetric Delta,
+    oracle for core.quadratic_form_second_moment_exact."""
+    X = sampler.sample(n_mc, rng)
+    q = np.einsum("ni,ij,nj->n", X, delta, X)
+    return float(np.mean(q * q))
+
+
 def reference_projected_gd(data: core.Dataset, theta0: np.ndarray, cfg: core.TrainConfig,
                            center: np.ndarray | None = None, radius: float | None = None):
     """Per-sample projected GD: the same steps and stop rules as

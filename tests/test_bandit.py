@@ -29,20 +29,21 @@ def make_problem(T=2000, spectrum=(1.0, 0.3, 0.1), k=5, xi_max=0.0, m_scale=1.0,
 def test_exploration_length_frozen_formula_value():
     raw = bandit.exploration_length_raw(10**5, 2, 1.0, 2.0, 1.0, 4.0)
     assert raw == pytest.approx(FROZEN_M_RAW, rel=1e-12)
-    # the raw value exceeds this horizon, so the clamped length is T itself
-    assert bandit.exploration_length(10**5, 2, 1.0, 2.0, 1.0, 4.0) == 10**5
 
 
 def test_exploration_length_follows_t_two_thirds():
-    # horizons large enough that the clamp is inactive
-    m1 = bandit.exploration_length(10**9, 2, 1.0, 2.0, 1.0, 4.0, scale=1e-3)
-    m8 = bandit.exploration_length(8 * 10**9, 2, 1.0, 2.0, 1.0, 4.0, scale=1e-3)
-    assert m1 < 10**9 and m8 < 8 * 10**9
+    m1 = bandit.exploration_length_raw(10**9, 2, 1.0, 2.0, 1.0, 4.0, scale=1e-3)
+    m8 = bandit.exploration_length_raw(8 * 10**9, 2, 1.0, 2.0, 1.0, 4.0, scale=1e-3)
     assert 4 - 0.5 < m8 / m1 < 4 + 0.5
 
 
 def test_exploration_length_clamps_to_horizon():
-    assert bandit.exploration_length(10, 2, 1.0, 2.0, 1.0, 4.0) == 10
+    cfg = core.TrainConfig(max_iters=5)
+    # at m_scale 1 the raw length of this horizon exceeds it: pure exploration
+    clamped = bandit.run_etc(make_problem(T=10), cfg, seed=0)
+    assert clamped.m_raw > 10 and clamped.m == 10 and clamped.m_clamped
+    free = bandit.run_etc(make_problem(T=800, m_scale=1e-4), cfg, seed=0)
+    assert free.m == math.ceil(free.m_raw) < 800 and not free.m_clamped
 
 
 # ---------------------------------------------------------------------------
@@ -50,27 +51,22 @@ def test_exploration_length_clamps_to_horizon():
 
 
 def test_exploration_action_support():
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        x = bandit.sample_exploration_action(4, rng)
-        assert np.all(np.abs(x) <= 0.5 + 1e-15)
-        assert np.linalg.norm(x) <= 1.0 + 1e-15
+    problem = make_problem(T=200, spectrum=(1.0, 0.5, 0.3, 0.1))
+    trace = bandit.run_etc(problem, core.TrainConfig(max_iters=5), seed=0, m=200)
+    X = trace.actions[:trace.m]
+    assert X.shape == (200, 4)
+    assert np.all(np.abs(X) <= 0.5 + 1e-15)
+    assert np.all(np.linalg.norm(X, axis=1) <= 1.0 + 1e-15)
 
 
 def test_exploration_action_moments():
-    rng = np.random.default_rng(1)
     d, n = 3, 100_000
-    X = np.stack([bandit.sample_exploration_action(d, rng) for _ in range(n)])
+    trace = bandit.run_etc(make_problem(T=n), core.TrainConfig(max_iters=1), seed=1, m=n)
+    X = trace.actions[:trace.m]
     var = 1.0 / (3.0 * d)
     sigma_mean = math.sqrt(var / n)
     assert np.all(np.abs(X.mean(axis=0)) <= 4 * sigma_mean)
     assert np.all(np.abs(X.var(axis=0) - var) <= 0.05 * var)
-
-
-def test_exploration_action_deterministic():
-    a = bandit.sample_exploration_action(5, np.random.default_rng(42))
-    b = bandit.sample_exploration_action(5, np.random.default_rng(42))
-    assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -393,6 +393,11 @@ def test_cli_negative_scenario_seed_exits_2(tmp_path, capsys, command, key):
      "out of range: train.learning_rate must be finite"),
     ("identify", default_with("identify", n_grid=[math.inf]), "out of range: n_grid must be finite"),
     ("bandit", default_with("bandit", spectrum=[1, -math.inf, 0.1]), "out of range: spectrum must be finite"),
+    # generate_dataset rejects an unknown noise kind too, but only once the
+    # output directory is made
+    ("identify", default_with("identify", noise_kind="bogus"), "unknown noise_kind 'bogus'"),
+    ("transfer", default_with("transfer", noise_kind="bogus"), "unknown noise_kind 'bogus'"),
+    ("modules", default_with("modules", noise_kind="bogus"), "unknown noise_kind 'bogus'"),
 ])
 def test_cli_scenario_value_outside_its_domain_exits_2(tmp_path, capsys, command, scenario, message):
     with warnings.catch_warnings():
@@ -500,6 +505,22 @@ def test_cli_bad_json_exits_2(tmp_path, capsys):
     bad.write_text("{not json")
     status = cli.main(["identify", "--scenario", str(bad), "--out", str(tmp_path)])
     assert status == 2
+
+
+@pytest.mark.parametrize("bad_path", ["scenario is a directory", "scenario is not UTF-8", "out is a file"])
+def test_cli_unreadable_scenario_or_unwritable_out_exits_2(tmp_path, capsys, bad_path):
+    scenario, out = tmp_path / "scenario.json", tmp_path / "out"
+    if bad_path == "scenario is a directory":
+        scenario.mkdir()
+    elif bad_path == "scenario is not UTF-8":
+        scenario.write_bytes(b'{"d": "\xff"}')
+    else:
+        scenario.write_text(json.dumps(small_identify_scenario()))
+        out.write_text("")
+    assert cli.main(["identify", "--scenario", str(scenario), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert str(out if bad_path == "out is a file" else scenario) in err
 
 
 def test_cli_unknown_command_exits_2():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import power_iteration_extreme, random_orthogonal
+from conftest import point_mass, power_iteration_extreme, random_orthogonal
 from qni_lab import identify, qnn_core as core
 from qni_lab.errors import RejectedInput
 
@@ -158,32 +158,6 @@ def test_frobenius_gap_triangle_inequality():
 
 
 # ---------------------------------------------------------------------------
-# covering number
-
-
-def test_covering_number_values():
-    assert identify.covering_number_bound(2, 2, 1.0, 1.0) == pytest.approx(81.0)
-    assert identify.covering_number_bound(1, 1, 0.0, 0.5) == pytest.approx(1.0)
-    with pytest.raises(RejectedInput):
-        identify.covering_number_bound(2, 2, 1.0, 0.0)
-
-
-def test_covering_number_dominates_greedy_cover():
-    # greedy cover of random clouds in a radius-R ball of 2x2 matrices
-    rng = np.random.default_rng(6)
-    R, eps = 1.0, 1.0
-    bound = identify.covering_number_bound(2, 2, R, eps)
-    for _ in range(5):
-        cloud = rng.standard_normal((200, 4))
-        cloud *= (rng.uniform(0, R, size=(200, 1)) / np.linalg.norm(cloud, axis=1, keepdims=True))
-        centers = []
-        for p in cloud:
-            if not any(np.linalg.norm(p - c) <= eps for c in centers):
-                centers.append(p)
-        assert len(centers) <= bound
-
-
-# ---------------------------------------------------------------------------
 # identification check and the experiment driver
 
 
@@ -258,7 +232,7 @@ def test_resolve_alpha_is_the_stated_or_the_exact_population_constant():
     cube = core.CovariateSampler.uniform_cube(10, 0.3)
     assert identify.resolve_alpha(cube) == pytest.approx(4.0 * 0.3**4 / 45.0)
     assert identify.resolve_alpha(core.CovariateSampler.unit_sphere(4)) == pytest.approx(2.0 / 24.0)
-    point = core.CovariateSampler.point_mass(np.array([0.5, 0.5]))
+    point = point_mass(np.array([0.5, 0.5]))
     assert identify.resolve_alpha(point) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -296,7 +270,7 @@ def test_robust_shift_adversarial_point_mass():
     data = core.generate_dataset(truth, sampler, 0.05, "uniform", 400, 13)
     fit = core.train_gd(data, 2, 4, core.TrainConfig(learning_rate=0.2, max_iters=2000, grad_tol=1e-9, seed=14))
     rep = identify.sup_function_gap(fit.net, truth, sampler.x_max)
-    point = core.CovariateSampler.point_mass(rep.witness_x)
+    point = point_mass(rep.witness_x)
     rows, _ = identify.robust_shift_experiment(
         truth, sampler, point, n_grid=[400], cfg=core.TrainConfig(learning_rate=0.2, max_iters=2000, grad_tol=1e-9),
         seeds=[13], xi_max=0.05, noise_kind="uniform", n_eval=50,

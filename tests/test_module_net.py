@@ -278,7 +278,7 @@ def test_mixture_t1_mass_on_start_state():
     rng = np.random.default_rng(8)
     chain = mn.random_chain(4, 3, rng)
     parser = mn.random_parser(4, 3, rng)
-    p1 = mn.mixture_distribution(chain, parser, 1)
+    p1 = mn.mixture_distributions(chain, parser)[0][0]
     assert np.allclose(p1[:, mn.START_STATE], chain.initial)
     assert p1[:, 1:].sum() == 0.0
 
@@ -299,7 +299,7 @@ def test_mixture_dp_equals_bruteforce(t):
     rng = np.random.default_rng(10 + t)
     chain = mn.random_chain(3, 6, rng)
     parser = mn.random_parser(3, 3, rng)
-    dp = mn.mixture_distribution(chain, parser, t)
+    dp = mn.mixture_distributions(chain, parser)[0][t - 1]
     bf = mixture_bruteforce(chain, parser, t)
     assert np.abs(dp - bf).max() <= 1e-12
 
@@ -515,34 +515,6 @@ def test_module_sup_error_dominates_sampled_gaps():
             assert gap <= eps_f + 1e-9
 
 
-def test_module_error_bound_formula():
-    assert mn.module_error_bound(2, 3.0, 0.5, 0.25) == pytest.approx(math.sqrt(2 * 2 * 9 * 0.5 / 0.25))
-    with pytest.raises(RejectedInput):
-        mn.module_error_bound(0, 1.0, 1.0, 1.0)
-
-
-def test_module_error_bound_dominates_measured_error():
-    # certified uniform module error vs the measured spectral sup error,
-    # across replicate fits: failures at most d*k*delta of replicates
-    from qni_lab import identify
-
-    rng = np.random.default_rng(30)
-    d, k, n, delta = 2, 3, 400, 0.1
-    lib = mn.make_library(d, k, 1.0, 0.9, rng)
-    sampler = core.CovariateSampler.uniform_cube(d, 1.0 / math.sqrt(d))
-    alpha = core.exact_alpha(sampler)
-    theta_max = max(net.frobenius_norm() for m in lib.modules for net in m) * 2.0
-    b = core.BoundSpec(x_max=1.0, theta_max=theta_max, phi_max=theta_max**2, xi_max=0.02)
-    eps = identify.epsilon_bound(n, d, delta, b).epsilon
-    certified = mn.module_error_bound(d, core.lipschitz_constant(b), eps, alpha)
-    replicates, failures = 10, 0
-    for rep in range(replicates):
-        fitted = mn.fit_library(lib, n, 0.02, "uniform", core.TrainConfig(
-            learning_rate=0.3, max_iters=1200, grad_tol=1e-8), seed=31 + 97 * rep)
-        measured, _ = mn.module_sup_error(fitted, lib)
-        if measured > certified:
-            failures += 1
-    assert failures <= max(1, int(d * k * delta * replicates))
 
 
 def test_library_lipschitz_construction_and_contraction():

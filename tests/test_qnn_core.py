@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import (
     finite_difference_gradient,
+    point_mass,
+    population_loss_mc,
+    quadratic_form_second_moment,
     random_orthogonal,
     random_symmetric,
     reference_projected_gd,
@@ -133,7 +136,7 @@ def test_empirical_loss_rejects_empty():
 def test_population_loss_zero_for_identical_nets():
     rng = np.random.default_rng(7)
     net = core.random_net(2, 3, rng)
-    assert core.population_loss_mc(net, net, core.CovariateSampler.uniform_cube(2), 1000, 0) == 0.0
+    assert population_loss_mc(net, net, core.CovariateSampler.uniform_cube(2), 1000, 0) == 0.0
 
 
 def test_population_loss_d1_closed_form():
@@ -147,7 +150,7 @@ def test_population_loss_d1_closed_form():
     assert quad == pytest.approx(1.0 / 80.0, abs=1e-9)
     exact = core.population_loss_exact(net, truth, sampler)
     assert exact == pytest.approx(0.0125, abs=1e-15)
-    mc = core.population_loss_mc(net, truth, sampler, 200_000, 0)
+    mc = population_loss_mc(net, truth, sampler, 200_000, 0)
     se = 0.0125 / math.sqrt(200_000)  # generous scale for the standard error
     assert abs(mc - 0.0125) <= 4 * se * 3
 
@@ -157,8 +160,8 @@ def test_population_loss_mc_self_consistency():
     net = core.random_net(2, 3, rng, 1.0)
     truth = core.random_net(2, 3, rng, 1.0)
     sampler = core.CovariateSampler.uniform_cube(2)
-    big = core.population_loss_mc(net, truth, sampler, 10**7, 1)
-    small = core.population_loss_mc(net, truth, sampler, 10**6, 2)
+    big = population_loss_mc(net, truth, sampler, 10**7, 1)
+    small = population_loss_mc(net, truth, sampler, 10**6, 2)
     # crude per-sample variance from a pilot draw
     pilot_rng = np.random.default_rng(3)
     X = sampler.sample(20_000, pilot_rng)
@@ -174,7 +177,7 @@ def test_population_loss_exact_matches_mc_for_random_nets():
         a = core.random_net(3, 5, rng, 1.0)
         b = core.random_net(3, 5, rng, 1.0)
         exact = core.population_loss_exact(a, b, sampler)
-        mc = core.population_loss_mc(a, b, sampler, 400_000, 11)
+        mc = population_loss_mc(a, b, sampler, 400_000, 11)
         assert mc == pytest.approx(exact, rel=0.05, abs=1e-6)
 
 
@@ -586,8 +589,8 @@ def test_mixture_weights_must_not_all_be_zero():
 
 def test_exact_alpha_point_mass():
     for x0 in ([1.0, 0.0], [0.3, -1.2, 0.5]):
-        assert core.exact_alpha(core.CovariateSampler.point_mass(np.array(x0))) == pytest.approx(0.0, abs=1e-15)
-    assert core.exact_alpha(core.CovariateSampler.point_mass(np.array([2.0]))) == pytest.approx(16.0)
+        assert core.exact_alpha(point_mass(np.array(x0))) == pytest.approx(0.0, abs=1e-15)
+    assert core.exact_alpha(point_mass(np.array([2.0]))) == pytest.approx(16.0)
 
 
 def test_estimate_alpha_scaled_uniform_brackets():
@@ -613,10 +616,10 @@ def test_nominal_alpha_table():
 
 def test_second_moment_degenerate_point_mass():
     x0 = np.array([1.0, 0.0, 0.0])
-    sampler = core.CovariateSampler.point_mass(x0)
+    sampler = point_mass(x0)
     delta = np.diag([0.0, 1.0, -1.0]) / math.sqrt(2.0)  # orthogonal to x0 x0^T
     rng = np.random.default_rng(2)
-    assert core.quadratic_form_second_moment(sampler, delta, 1000, rng) == pytest.approx(0.0, abs=1e-15)
+    assert quadratic_form_second_moment(sampler, delta, 1000, rng) == pytest.approx(0.0, abs=1e-15)
     assert core.quadratic_form_second_moment_exact(sampler, delta) == pytest.approx(0.0, abs=1e-15)
     # the direction-minimizing estimate on the degenerate sampler is tiny too
     assert core.estimate_alpha(sampler, 2000, 40, 3) <= 0.05
