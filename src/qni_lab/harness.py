@@ -138,8 +138,8 @@ def _check_scenario(command: str, scenario: dict) -> None:
     """Reject a scenario that lacks a key its command needs, holds a value
     of the wrong type or out of range (checked against SCENARIO_KEYS, in
     nested objects too), asks for a rank-d net with k < d, holds a sampler
-    that cannot be built, or names an unknown noise kind, sweep axis or
-    verify check, before anything runs."""
+    that cannot be built or trains on one with zero curvature, or names an
+    unknown noise kind, sweep axis or verify check, before anything runs."""
     if not isinstance(scenario, dict):
         raise RejectedInput("scenario must be a JSON object")
     where, skip, bad = "scenario", None, []
@@ -160,8 +160,11 @@ def _check_scenario(command: str, scenario: dict) -> None:
     if command in ("bandit", "transfer") and scenario["k"] < scenario["d"]:
         raise RejectedInput(f"{where} has k = {scenario['k']} < d = {scenario['d']}: a rank-d net needs k >= d")
     if command in ("identify", "transfer"):
-        for name in ("sampler", "shift", "shift_sampler"):
-            sampler_from_dict(_value(scenario, name) or {}, scenario["d"])
+        samplers = [sampler_from_dict(_value(scenario, name) or {}, scenario["d"])
+                    for name in ("sampler", "shift", "shift_sampler")]
+        if core.exact_alpha(samplers[0]) == 0.0:  # the fits train on the first
+            raise RejectedInput(f"{where}'s sampler has zero curvature (exact_alpha is 0): "
+                                "its samples cannot identify a net")
     noise_kind = scenario.get("noise_kind", "zero")
     if command in ("identify", "transfer", "modules") and noise_kind not in core.NOISE_KINDS:
         raise RejectedInput(f"unknown noise_kind {noise_kind!r}; known: {', '.join(core.NOISE_KINDS)}")
@@ -651,10 +654,10 @@ def run_verify_seed(scenario: dict, seed: int) -> dict:
 def run_sweep(config: ExperimentConfig) -> tuple[int, dict]:
     scenario = config.scenario
     axis = scenario["axis"]
-    grid = scenario.get("grid")
+    grid = [int(g) for g in scenario["grid"]]
     base = scenario.get("base", {})
-    if grid is None or len(grid) < 3 or sorted(grid) != list(grid):
-        raise RejectedInput("grid must be sorted ascending with at least 3 points")
+    if len(grid) < 3 or any(a >= b for a, b in zip(grid, grid[1:])):
+        raise RejectedInput(f"grid must hold at least 3 strictly increasing counts, got {grid} after int()")
     config.out_dir.mkdir(parents=True, exist_ok=True)
 
     command, key = SWEEP_AXES[axis]
@@ -681,11 +684,11 @@ def run_sweep(config: ExperimentConfig) -> tuple[int, dict]:
             row = {"T": g, "seed": seed, "mean_matched_gap": metric, "freq_within": payload["freq_within"]}
         return {"axis_value": g, "seed": seed, "metric": metric, "row": row}
 
-    results = _map_tasks(one, [(int(g), seed) for g in grid for seed in config.seeds], config.parallelism)
+    results = _map_tasks(one, [(g, seed) for g in grid for seed in config.seeds], config.parallelism)
     results.sort(key=lambda r: (r["axis_value"], r["seed"]))
 
     medians = [float(np.median([r["metric"] for r in results if r["axis_value"] == g])) for g in grid]
-    summary = {"axis": axis, "grid": [int(g) for g in grid], "medians": medians,
+    summary = {"axis": axis, "grid": grid, "medians": medians,
                "slope": None, "intercept": None, "stderr": None}
     if all(m > 0 for m in medians):
         slope, intercept, stderr = bandit.fit_loglog_slope(np.array(grid, dtype=float), np.array(medians))

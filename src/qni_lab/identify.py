@@ -137,15 +137,6 @@ def identification_check(
     )
 
 
-def resolve_alpha(sampler: core.CovariateSampler) -> float:
-    """Curvature constant for a sampler: stated closed form if one exists,
-    otherwise the exact population constant."""
-    try:
-        return core.nominal_alpha(sampler)
-    except RejectedInput:
-        return core.exact_alpha(sampler)
-
-
 def robust_shift_experiment(
     truth: core.QuadNet,
     sampler_p: core.CovariateSampler,
@@ -173,7 +164,7 @@ def robust_shift_experiment(
         x_max = max(sampler_p.x_max, sampler_q.x_max)
         bounds = core.BoundSpec(x_max=x_max, theta_max=theta_max, phi_max=theta_max**2, xi_max=xi_max)
     if alpha is None:
-        alpha = resolve_alpha(sampler_p)
+        alpha = core.exact_alpha(sampler_p)
     grid = [(n, seed) for n in n_grid for seed in seeds]
     datasets = [core.generate_dataset(truth, sampler_p, xi_max, noise_kind, n, seed) for n, seed in grid]
     starts = [core.seeded_start(truth.d, truth.k, replace(cfg, seed=seed + 1)) for _, seed in grid]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -108,39 +108,33 @@ class ModuleLibrary:
     """k vector-valued modules on the ball of radius x_max; module j maps
     x to (net_{j,1}(x), ..., net_{j,d}(x)) with one quadratic net per coordinate.
 
-    All coordinate nets share one width; `thetas` stacks their parameters as a
-    (k, d, d, width) array, module, coordinate, then the net's theta."""
+    `thetas` holds the parameters of every coordinate net as one
+    (k, d, d, width) array: module, coordinate, then the net's d x width theta."""
 
-    modules: tuple
+    thetas: np.ndarray
     x_max: float
     k_module: float | None = None  # configured Lipschitz bound on the domain
     fits: tuple = ()  # TrainResult per coordinate net, per module, when fitted
-    thetas: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mods = tuple(tuple(coord for coord in m) for m in self.modules)
-        if not mods:
-            raise RejectedInput("need at least one module")
-        d = mods[0][0].d
-        for m in mods:
-            if len(m) != d or any(net.d != d for net in m):
-                raise RejectedInput("every module must have d coordinate nets of input dim d")
-        if len({net.k for m in mods for net in m}) != 1:
-            raise RejectedInput("every coordinate net must have the same width")
+        thetas = np.array(self.thetas, dtype=float)
+        if thetas.ndim != 4 or thetas.shape[1] != thetas.shape[2] or 0 in thetas.shape:
+            raise RejectedInput(f"thetas must be a (k, d, d, width) array with k, d, width >= 1, "
+                                f"got shape {thetas.shape}")
+        if not np.all(np.isfinite(thetas)):
+            raise RejectedInput("thetas contains non-finite entries")
         if self.x_max <= 0:
             raise RejectedInput("x_max must be positive")
-        thetas = np.array([[net.theta for net in m] for m in mods])
         thetas.setflags(write=False)
-        object.__setattr__(self, "modules", mods)
         object.__setattr__(self, "thetas", thetas)
 
     @property
     def k(self) -> int:
-        return len(self.modules)
+        return self.thetas.shape[0]
 
     @property
     def d(self) -> int:
-        return self.modules[0][0].d
+        return self.thetas.shape[1]
 
     def apply(self, j, x: np.ndarray) -> np.ndarray:
         """Evaluate module j (1-indexed) at x, or, for a vector j and an
@@ -164,14 +158,10 @@ class ModuleLibrary:
 
     def lipschitz_bound(self) -> float:
         """Analytic Lipschitz bound on the ball: max_j 2 x_max sqrt(sum_c rho_c^2)."""
-        worst = 0.0
-        for m in self.modules:
-            agg = 0.0
-            for net in m:
-                w = np.linalg.eigvalsh(core.induced(net).phi)
-                agg += float(w[-1]) ** 2
-            worst = max(worst, 2.0 * self.x_max * math.sqrt(agg))
-        return worst
+        # sums over a module's coordinates (here, in module_sup_error and in
+        # make_library) add Python floats in coordinate order, not pairwise
+        top = np.linalg.eigvalsh(_induced(self.thetas))[..., -1].tolist()
+        return max(2.0 * self.x_max * math.sqrt(sum(w**2 for w in coords)) for coords in top)
 
     def measured_lipschitz(self, n_pairs: int, rng: np.random.Generator) -> float:
         """Max difference quotient over random pairs in the ball (a lower
@@ -186,6 +176,12 @@ class ModuleLibrary:
             num = _norms(self.apply(js, x) - self.apply(js, y))
             best = max(best, float(np.max(num[keep] / denom[keep], initial=0.0)))
         return best
+
+
+def _induced(thetas: np.ndarray) -> np.ndarray:
+    """Induced form of every net of a stack, symmetrized as core.induced does."""
+    p = thetas @ thetas.mT
+    return (p + p.mT) / 2.0
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -471,18 +467,11 @@ def module_sup_error(fitted: ModuleLibrary, true: ModuleLibrary) -> tuple[float,
     Aggregates exact per-coordinate sup gaps (spectral) in an l2 sense, which
     upper-bounds the vector-valued sup.
     """
-    if fitted.k != true.k or fitted.d != true.d:
+    if (fitted.k, fitted.d) != (true.k, true.d):
         raise RejectedInput("libraries must share k and d")
-    x_max = true.x_max
-    per_module = []
-    for j in range(true.k):
-        agg = 0.0
-        for c in range(true.d):
-            delta = core.induced(fitted.modules[j][c]).phi - core.induced(true.modules[j][c]).phi
-            w = np.linalg.eigvalsh(delta)
-            rho = max(abs(float(w[0])), abs(float(w[-1])))
-            agg += (x_max**2 * rho) ** 2
-        per_module.append(math.sqrt(agg))
+    w = np.linalg.eigvalsh(_induced(fitted.thetas) - _induced(true.thetas))
+    rho = np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1])).tolist()
+    per_module = [math.sqrt(sum((true.x_max**2 * r) ** 2 for r in coords)) for coords in rho]
     return max(per_module), per_module
 
 
@@ -570,16 +559,10 @@ def make_library(
     lipschitz_target exactly (contractive for targets <= 1)."""
     width = width if width is not None else d + 1
     target_agg = lipschitz_target / (2.0 * x_max)
-    modules = []
-    for _ in range(k):
-        coords = [rng.standard_normal((d, width)) for _ in range(d)]
-        agg = 0.0
-        for theta in coords:
-            w = np.linalg.eigvalsh(theta @ theta.T)
-            agg += float(w[-1]) ** 2
-        gamma = math.sqrt(target_agg / math.sqrt(agg))
-        modules.append(tuple(core.QuadNet(gamma * theta) for theta in coords))
-    return ModuleLibrary(tuple(modules), x_max=x_max, k_module=lipschitz_target)
+    raw = rng.standard_normal((k, d, d, width))
+    top = np.linalg.eigvalsh(raw @ raw.mT)[..., -1].tolist()
+    gamma = np.array([math.sqrt(target_agg / math.sqrt(sum(w**2 for w in coords))) for coords in top])
+    return ModuleLibrary(gamma[:, None, None, None] * raw, x_max=x_max, k_module=lipschitz_target)
 
 
 def fit_library(
@@ -593,17 +576,17 @@ def fit_library(
     """Fit every coordinate net of every module on fresh execution pairs
     (inputs drawn from the cube inscribed in the domain ball), all k * d fits
     as one stack; the fits' TrainResults ride along in the library's `fits`."""
-    d = true_library.d
+    k, d, _, width = true_library.thetas.shape
     sampler = core.CovariateSampler.uniform_cube(d, true_library.x_max / math.sqrt(d))
     datasets, starts = [], []
-    for i, truth in enumerate(net for coords in true_library.modules for net in coords):
+    for i, theta in enumerate(true_library.thetas.reshape(k * d, d, width)):
         s = seed + 2 * i
-        datasets.append(core.generate_dataset(truth, sampler, xi_max, noise_kind, n_per_coordinate, s))
-        starts.append(core.seeded_start(d, truth.k, replace(cfg, seed=s + 1)))
+        datasets.append(core.generate_dataset(core.QuadNet(theta), sampler, xi_max, noise_kind, n_per_coordinate, s))
+        starts.append(core.seeded_start(d, width, replace(cfg, seed=s + 1)))
     results = core.projected_gd_stack(datasets, starts, cfg)
-    fits = tuple(tuple(results[j * d:(j + 1) * d]) for j in range(true_library.k))
-    modules = tuple(tuple(res.net for res in coords) for coords in fits)
-    return ModuleLibrary(modules, x_max=true_library.x_max, fits=tuple(fits))
+    fits = tuple(tuple(results[j * d:(j + 1) * d]) for j in range(k))
+    thetas = np.array([res.net.theta for res in results]).reshape(true_library.thetas.shape)
+    return ModuleLibrary(thetas, x_max=true_library.x_max, fits=fits)
 
 
 def random_parser(alphabet_size: int, k: int, rng: np.random.Generator) -> Parser:

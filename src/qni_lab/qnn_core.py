@@ -339,11 +339,13 @@ def exact_alpha(sampler: CovariateSampler) -> float:
     """Exact min over symmetric unit-Frobenius Delta of E[(x^T Delta x)^2].
 
     For an i.i.d.-coordinate sampler the moment expansion gives
-    min(m4 - m2^2, 2 m2^2); the minimum is attained at a traceless diagonal
-    direction when m4 - m2^2 <= 2 m2^2. On the unit sphere the moment is
+    min(m4 - m2^2, 2 m2^2). On a cube of half-width h, m4 - m2^2 = 4 h^4 / 45
+    is always the smaller, attained at a traceless diagonal direction (a lower
+    bound at d = 1); at h = 1/2 it is 1/180. On the unit sphere the moment is
     (tr(Delta)^2 + 2 ||Delta||_F^2) / (d (d + 2)), so 2 / (d (d + 2)) at a
     traceless direction (a lower bound at d = 1). For atoms it is the
-    smallest eigenvalue of the atom-weighted M4 on symmetric directions.
+    smallest eigenvalue of the atom-weighted M4 on symmetric directions, and
+    0 when the atoms span fewer than d (d + 1) / 2 of those directions.
     """
     d = sampler.d
     if sampler.kind == "unit_sphere":
@@ -355,9 +357,10 @@ def exact_alpha(sampler: CovariateSampler) -> float:
         basis[rows, cols, np.arange(rows.size)] = basis[cols, rows, np.arange(rows.size)] = 1.0
         basis = basis.reshape(d * d, -1)
         basis /= np.linalg.norm(basis, axis=0)
-        return max(float(np.linalg.eigvalsh(basis.T @ m4 @ basis)[0]), 0.0)
-    m2, m4 = sampler.coordinate_moments()
-    return min(m4 - m2 * m2, 2.0 * m2 * m2)
+        w = np.linalg.eigvalsh(basis.T @ m4 @ basis)
+        # below matrix_rank's tolerance the smallest eigenvalue is rounding noise
+        return float(w[0]) if w[0] > w.size * np.finfo(float).eps * w[-1] else 0.0
+    return 4.0 * sampler.half_width**4 / 45.0
 
 
 def nominal_alpha(sampler: CovariateSampler) -> float:
@@ -600,18 +603,6 @@ def projected_gd_stack(
     ]
 
 
-def projected_gd(
-    data: Dataset,
-    theta0: np.ndarray,
-    cfg: TrainConfig,
-    center: np.ndarray | None = None,
-    radius: float | None = None,
-) -> TrainResult:
-    """One fit by projected_gd_stack, started at theta0, inside the Frobenius
-    ball of that radius around center (the origin by default) when given."""
-    return projected_gd_stack([data], [theta0], cfg, None if center is None else [center], radius)[0]
-
-
 def seeded_start(d: int, k: int, cfg: TrainConfig) -> np.ndarray:
     """The random d x k start of a fit, seeded by cfg.seed: i.i.d. uniform in
     [-s, s] with s = init_scale (default 0.5/sqrt(k)); exact zero init is a
@@ -630,11 +621,11 @@ def train_gd(
     cfg: TrainConfig,
     theta_max: float | None = None,
 ) -> TrainResult:
-    """Fit a quadratic net by projected_gd from seeded_start, inside the
+    """Fit a quadratic net from seeded_start, as a stack of one, inside the
     Frobenius ball of radius theta_max around the origin when given."""
     if data.d != d:
         raise RejectedInput(f"dataset dimension {data.d} does not match d={d}")
-    return projected_gd(data, seeded_start(d, k, cfg), cfg, radius=theta_max)
+    return projected_gd_stack([data], [seeded_start(d, k, cfg)], cfg, radius=theta_max)[0]
 
 
 def random_net(d: int, k: int, rng: np.random.Generator, frobenius_norm: float | None = None) -> QuadNet:

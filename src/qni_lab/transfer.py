@@ -19,7 +19,7 @@ import numpy as np
 
 from . import qnn_core as core
 from .errors import AssumptionViolated, RejectedInput
-from .identify import epsilon_bound, resolve_alpha, sup_function_gap
+from .identify import epsilon_bound, sup_function_gap
 
 RANK_TOL = 1e-12
 
@@ -175,7 +175,7 @@ def run_transfer(
     """
     b = problem.bounds()
     if alpha is None:
-        alpha = resolve_alpha(problem.sampler_p)
+        alpha = core.exact_alpha(problem.sampler_p)
     data_p = core.generate_dataset(
         problem.theta_p_star, problem.sampler_p, problem.xi_max, problem.noise_kind,
         problem.n_p, seed,
@@ -190,7 +190,7 @@ def run_transfer(
         problem.n_g, seed + 2,
     )
     center = fit_p.net.theta
-    fit_g = core.projected_gd(data_g, center, cfg, center=center, radius=B_hat)
+    fit_g = core.projected_gd_stack([data_g], [center], cfg, [center], B_hat)[0]
 
     proxy_gap = sup_function_gap(fit_p.net, problem.theta_p_star, b.x_max)
     gold_gap = sup_function_gap(fit_g.net, problem.theta_g_star, b.x_max)

@@ -89,10 +89,10 @@ def quadratic_form_second_moment(sampler: core.CovariateSampler, delta: np.ndarr
 
 def reference_projected_gd(data: core.Dataset, theta0: np.ndarray, cfg: core.TrainConfig,
                            center: np.ndarray | None = None, radius: float | None = None):
-    """Per-sample projected GD: the same steps and stop rules as
-    core.projected_gd, with every gradient taken by core.gradient over all n
-    rows instead of from the sample's moments. Returns (theta, iterations,
-    converged)."""
+    """Per-sample projected GD: the same steps and stop rules as a stack of
+    one in core.projected_gd_stack, with every gradient taken by core.gradient
+    over all n rows instead of from the sample's moments. Returns (theta,
+    iterations, converged)."""
     c = np.zeros_like(theta0) if center is None else center
 
     def project(t):
@@ -158,7 +158,7 @@ def reference_uniform_ball(d: int, radius: float, rng: np.random.Generator) -> n
 
 
 def reference_apply(library, j: int, x: np.ndarray) -> np.ndarray:
-    return np.array([core.forward(net, x) for net in library.modules[j - 1]])
+    return np.array([core.forward(core.QuadNet(theta), x) for theta in library.thetas[j - 1]])
 
 
 def reference_parse(parser, word: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
+import importlib
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -398,6 +400,21 @@ def test_cli_negative_scenario_seed_exits_2(tmp_path, capsys, command, key):
     ("identify", default_with("identify", noise_kind="bogus"), "unknown noise_kind 'bogus'"),
     ("transfer", default_with("transfer", noise_kind="bogus"), "unknown noise_kind 'bogus'"),
     ("modules", default_with("modules", noise_kind="bogus"), "unknown noise_kind 'bogus'"),
+    # A sampler with zero curvature identifies nothing: identify used to exit
+    # 2 from identification_check, transfer with a misleading message from
+    # expanded_radius, both after the output directory was made.
+    ("identify", default_with("identify", sampler={"kind": "custom_mixture", "atoms": [[1, 0, 0], [0, 1, 0]]}),
+     "sampler has zero curvature"),
+    ("transfer", default_with("transfer", sampler={"kind": "custom_mixture",
+                                                   "atoms": [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]]}),
+     "sampler has zero curvature"),
+    ("sweep", {"axis": "n_g", "grid": [10, 20, 40], "base": default_with(
+        "transfer", sampler={"kind": "custom_mixture", "atoms": [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]]})},
+     "sampler has zero curvature"),
+    # A grid that int() collapses ran a point twice, or gave a NaN median
+    # and numpy warnings, with exit 0.
+    ("sweep", {"axis": "n", "grid": [300, 300.5, 600], "base": default_with("identify")}, "strictly increasing"),
+    ("sweep", {"axis": "n", "grid": [300, 300, 600], "base": default_with("identify")}, "strictly increasing"),
 ])
 def test_cli_scenario_value_outside_its_domain_exits_2(tmp_path, capsys, command, scenario, message):
     with warnings.catch_warnings():
@@ -449,6 +466,21 @@ def test_readme_key_table_bounds_match_the_scenario_keys():
             if len(cells) == 7}
     assert {key: rows[key] for key in harness.SCENARIO_KEYS} == {
         key: spec.bounds or "" for key, spec in harness.SCENARIO_KEYS.items()}
+
+
+# Suffixes of the data files README names as `<module>.<suffix>`, such as `identify.csv`.
+FILE_SUFFIXES = {"csv", "json", "jsonl"}
+
+
+def test_readme_names_only_definitions_the_package_has():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    modules = {p.stem for p in Path(harness.__file__).parent.glob("*.py")} - {"__init__"}
+    named = [(module, name) for module, name in
+             re.findall(r"`(?:qni_lab\.)?([a-z_]+)\.([A-Za-z_]\w*)", readme)
+             if module in modules and name not in FILE_SUFFIXES]
+    assert named, "the README names no package definition"
+    assert [f"{module}.{name}" for module, name in named
+            if not hasattr(importlib.import_module(f"qni_lab.{module}"), name)] == []
 
 
 def test_strong_convexity_check_holds_at_small_scale():

@@ -225,15 +225,31 @@ def test_empirical_loss_concentration_replicates():
     assert failures <= delta * replicates
 
 
-def test_resolve_alpha_is_the_stated_or_the_exact_population_constant():
-    assert identify.resolve_alpha(core.CovariateSampler.uniform_cube(3)) == 1.0 / 180.0
+def test_exact_alpha_is_one_180th_on_the_default_cube_and_the_population_constant_elsewhere():
+    # bit for bit the stated 1/180 on the half-width-1/2 cube, so the
+    # defaults' certified bounds keep their bits
+    assert core.exact_alpha(core.CovariateSampler.uniform_cube(3)) == 1.0 / 180.0
     # a 10-d cube of half-width 0.3 has no stated constant; its exact one is
     # 4 h^4 / 45, about half the random-direction Monte-Carlo estimate
     cube = core.CovariateSampler.uniform_cube(10, 0.3)
-    assert identify.resolve_alpha(cube) == pytest.approx(4.0 * 0.3**4 / 45.0)
-    assert identify.resolve_alpha(core.CovariateSampler.unit_sphere(4)) == pytest.approx(2.0 / 24.0)
+    assert core.exact_alpha(cube) == pytest.approx(4.0 * 0.3**4 / 45.0)
+    assert core.exact_alpha(core.CovariateSampler.unit_sphere(4)) == pytest.approx(2.0 / 24.0)
     point = point_mass(np.array([0.5, 0.5]))
-    assert identify.resolve_alpha(point) == pytest.approx(0.0, abs=1e-15)
+    assert core.exact_alpha(point) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_robust_shift_certifies_with_the_exact_curvature_on_the_scaled_cube():
+    # the scaled cube's stated constant d^(-2/5)/15 is 4.3x its exact one,
+    # 4/(45 d^2), at d = 3; dividing by the stated one made the bound too tight
+    rng = np.random.default_rng(15)
+    truth = core.random_net(3, 4, rng, 1.0)
+    sampler = core.CovariateSampler.uniform_scaled(3)
+    b = core.BoundSpec(x_max=sampler.x_max, theta_max=1.5, phi_max=2.25)
+    rows, _ = identify.robust_shift_experiment(truth, sampler, sampler, n_grid=[200],
+                                               cfg=core.TrainConfig(max_iters=5), seeds=[0], n_eval=10, bounds=b)
+    eps = identify.epsilon_bound(200, 3, 0.1, b).epsilon
+    assert rows[0]["certified_bound"] == pytest.approx(2.0 * core.lipschitz_constant(b) ** 2 * eps / (4.0 / 405.0))
+    assert core.nominal_alpha(sampler) / core.exact_alpha(sampler) == pytest.approx(4.35, abs=0.01)
 
 
 def test_robust_shift_experiment_no_shift_matches_population_trend():

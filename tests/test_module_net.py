@@ -640,8 +640,16 @@ def test_batched_compose_rows_equal_one_row_calls():
         lib.apply(np.full(40, 4), x)
 
 
-def test_library_rejects_coordinate_nets_of_different_widths():
-    rng = np.random.default_rng(52)
-    nets = (core.QuadNet(rng.standard_normal((2, 3))), core.QuadNet(rng.standard_normal((2, 4))))
-    with pytest.raises(RejectedInput):
-        mn.ModuleLibrary((nets,), x_max=1.0)
+@pytest.mark.parametrize("shape", [(2, 3), (1, 2, 2), (1, 2, 3, 4), (0, 2, 2, 3), (1, 0, 0, 3), (1, 2, 2, 0)])
+def test_library_rejects_thetas_that_are_not_a_k_d_d_width_array(shape):
+    with pytest.raises(RejectedInput, match="thetas must be a"):
+        mn.ModuleLibrary(np.ones(shape), x_max=1.0)
+
+
+def test_library_rejects_non_finite_thetas_and_a_nonpositive_radius():
+    thetas = np.ones((1, 2, 2, 3))
+    with pytest.raises(RejectedInput, match="x_max"):
+        mn.ModuleLibrary(thetas, x_max=0.0)
+    thetas[0, 1, 0, 2] = np.nan
+    with pytest.raises(RejectedInput, match="non-finite"):
+        mn.ModuleLibrary(thetas, x_max=1.0)

@@ -279,7 +279,7 @@ def test_projected_gd_zero_radius_returns_center():
     center = core.random_net(2, 3, rng)
     data = core.generate_dataset(core.random_net(2, 3, rng), core.CovariateSampler.uniform_cube(2),
                                  0.0, "zero", 50, 5)
-    res = core.projected_gd(data, center.theta, core.TrainConfig(), center=center.theta, radius=0.0)
+    res = core.projected_gd_stack([data], [center.theta], core.TrainConfig(), [center.theta], 0.0)[0]
     assert np.array_equal(res.net.theta, center.theta)
     assert res.converged and res.iterations == 1
 
@@ -291,7 +291,7 @@ def test_projected_gd_huge_radius_matches_train_gd():
     data = core.generate_dataset(truth, sampler, 0.0, "zero", 200, 6)
     cfg = core.TrainConfig(learning_rate=0.2, max_iters=6000, grad_tol=1e-11, seed=7)
     center = core.random_net(2, 3, rng, 0.3)
-    constrained = core.projected_gd(data, center.theta, cfg, center=center.theta, radius=100.0)
+    constrained = core.projected_gd_stack([data], [center.theta], cfg, [center.theta], 100.0)[0]
     free = core.train_gd(data, 2, 3, cfg)
     assert constrained.final_loss <= free.final_loss + 1e-6
     assert abs(constrained.final_loss - free.final_loss) <= 1e-6
@@ -304,9 +304,9 @@ def test_projected_gd_feasibility():
     data = core.generate_dataset(truth, sampler, 0.05, "uniform", 100, 8)
     for b_hat in (0.01, 0.1, 0.5):
         center = core.random_net(3, 4, rng, 0.5)
-        res = core.projected_gd(data, center.theta,
-                                core.TrainConfig(learning_rate=0.1, max_iters=500, grad_tol=1e-9),
-                                center=center.theta, radius=b_hat)
+        res = core.projected_gd_stack([data], [center.theta],
+                                      core.TrainConfig(learning_rate=0.1, max_iters=500, grad_tol=1e-9),
+                                      [center.theta], b_hat)[0]
         assert float(np.linalg.norm(res.net.theta - center.theta)) <= b_hat + 1e-10
 
 
@@ -317,7 +317,7 @@ def test_projected_gd_stops_on_the_boundary_when_the_minimum_lies_outside():
     truth = core.random_net(2, 3, rng, 2.0)
     data = core.generate_dataset(truth, core.CovariateSampler.uniform_cube(2), 0.0, "zero", 100, 10)
     cfg = core.TrainConfig(learning_rate=0.2, max_iters=5000, grad_tol=1e-8)
-    res = core.projected_gd(data, 0.1 * truth.theta, cfg, radius=0.5)
+    res = core.projected_gd_stack([data], [0.1 * truth.theta], cfg, radius=0.5)[0]
     assert res.converged and res.iterations < cfg.max_iters
     assert res.grad_norm > cfg.grad_tol
     assert res.net.frobenius_norm() == pytest.approx(0.5, abs=1e-12)
@@ -327,9 +327,9 @@ def test_projected_gd_rejects_bad_arguments():
     data = core.generate_dataset(core.QuadNet(np.ones((2, 1))), core.CovariateSampler.uniform_cube(2),
                                  0.0, "zero", 10, 0)
     with pytest.raises(RejectedInput):
-        core.projected_gd(data, np.ones((3, 1)), core.TrainConfig())
+        core.projected_gd_stack([data], [np.ones((3, 1))], core.TrainConfig())
     with pytest.raises(RejectedInput):
-        core.projected_gd(data, np.ones((2, 1)), core.TrainConfig(), radius=-1.0)
+        core.projected_gd_stack([data], [np.ones((2, 1))], core.TrainConfig(), radius=-1.0)
 
 
 # n = 1, n below one statistics block, n = 2500 (not a multiple of the block
@@ -349,7 +349,7 @@ def test_projected_gd_matches_per_sample_reference(n, d, k, radius, lr, max_iter
     cfg = core.TrainConfig(learning_rate=lr, max_iters=max_iters, grad_tol=1e-8)
     theta0 = rng.uniform(-0.3, 0.3, size=(d, k))
     center = None if radius is None else theta0  # the ball around the start, as for the gold fit
-    res = core.projected_gd(data, theta0, cfg, center=center, radius=radius)
+    res = core.projected_gd_stack([data], [theta0], cfg, None if center is None else [center], radius)[0]
     theta, iterations, converged = reference_projected_gd(data, theta0, cfg, center=center, radius=radius)
     assert np.max(np.abs(res.net.theta - theta)) <= 1e-10
     assert (res.iterations, res.converged) == (iterations, converged)
@@ -361,8 +361,8 @@ def test_projected_gd_grad_norm_is_taken_at_the_returned_net(radius):
     rng = np.random.default_rng(23)
     truth = core.random_net(3, 4, rng, 1.0)
     data = core.generate_dataset(truth, core.CovariateSampler.uniform_cube(3), 0.0, "zero", 500, 4)
-    res = core.projected_gd(data, rng.uniform(-0.5, 0.5, size=(3, 4)),
-                            core.TrainConfig(learning_rate=0.3, max_iters=1), radius=radius)
+    res = core.projected_gd_stack([data], [rng.uniform(-0.5, 0.5, size=(3, 4))],
+                                  core.TrainConfig(learning_rate=0.3, max_iters=1), radius=radius)[0]
     expected = float(np.linalg.norm(core.gradient(res.net, data)))
     assert res.grad_norm == pytest.approx(expected, rel=1e-10)
     assert not res.converged
@@ -389,7 +389,7 @@ def test_projected_gd_stack_matches_single_fits_and_the_per_sample_reference():
     stack = core.projected_gd_stack(datasets, starts, cfg, centres, radius)
     stops = []
     for data, theta0, centre, res in zip(datasets, starts, centres, stack):
-        alone = core.projected_gd(data, theta0, cfg, center=centre, radius=radius)
+        alone = core.projected_gd_stack([data], [theta0], cfg, [centre], radius)[0]
         assert np.array_equal(res.net.theta, alone.net.theta)
         assert res.diagnostics() == alone.diagnostics()
         theta, iterations, converged = reference_projected_gd(data, theta0, cfg, center=centre, radius=radius)
@@ -409,10 +409,10 @@ def test_projected_gd_stack_raises_for_its_lowest_diverging_fit(half_widths, fir
     cfg = core.TrainConfig(learning_rate=3.0, max_iters=300, grad_tol=1e-9)
     fits = [cube_fit(rng, hw, 1.0, 100, 0) for hw in half_widths]
     with pytest.raises(Diverged) as alone:
-        core.projected_gd(*fits[first], cfg)
+        core.projected_gd_stack([fits[first][0]], [fits[first][1]], cfg)
     if first == 0:  # the stack meets fit 2's divergence first
         with pytest.raises(Diverged) as other:
-            core.projected_gd(*fits[2], cfg)
+            core.projected_gd_stack([fits[2][0]], [fits[2][1]], cfg)
         assert other.value.iteration < alone.value.iteration
     with pytest.raises(Diverged) as stacked:
         core.projected_gd_stack([data for data, _ in fits], [theta0 for _, theta0 in fits], cfg)
@@ -591,6 +591,21 @@ def test_exact_alpha_point_mass():
     for x0 in ([1.0, 0.0], [0.3, -1.2, 0.5]):
         assert core.exact_alpha(point_mass(np.array(x0))) == pytest.approx(0.0, abs=1e-15)
     assert core.exact_alpha(point_mass(np.array([2.0]))) == pytest.approx(16.0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+def test_exact_alpha_is_zero_when_the_atoms_span_too_few_directions(d):
+    # fewer atoms than the d (d + 1) / 2 symmetric directions leave M4
+    # singular there; its computed smallest eigenvalue, up to ~1e-16 of
+    # either sign, is rounding noise, not curvature
+    rng = np.random.default_rng(61 + d)
+    n_dirs = d * (d + 1) // 2
+    for n_atoms in (1, 2, n_dirs - 1):
+        for _ in range(20):
+            atoms = rng.uniform(-1.0, 1.0, size=(n_atoms, d))
+            assert core.exact_alpha(core.CovariateSampler("custom_mixture", d, atoms=atoms)) == 0.0
+    atoms = rng.uniform(-1.0, 1.0, size=(n_dirs + 2, d))
+    assert core.exact_alpha(core.CovariateSampler("custom_mixture", d, atoms=atoms)) > 0.0
 
 
 def test_estimate_alpha_scaled_uniform_brackets():
