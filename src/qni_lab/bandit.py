@@ -54,6 +54,8 @@ class BanditProblem:
             raise RejectedInput("xi_max must be >= 0")
         if self.m_scale <= 0:
             raise RejectedInput("m_scale must be positive")
+        if self.theta_star.d < 2:  # checking a given M reads the top two eigenvalues too
+            raise RejectedInput("need d >= 2 for an eigengap")
         phi = core.induced(self.theta_star)
         if self.M is None:
             object.__setattr__(self, "M", eigengap_constant(phi))

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bandit, identify, module_net, qnn_core as core, transfer
-from .errors import RejectedInput
+from .errors import AssumptionViolated, RejectedInput
 
 ARTIFACT_VERSION = "0.1.0"
 
@@ -137,9 +137,10 @@ def _bad_values(values: dict, prefix: str = "") -> list[str]:
 def _check_scenario(command: str, scenario: dict) -> None:
     """Reject a scenario that lacks a key its command needs, holds a value
     of the wrong type or out of range (checked against SCENARIO_KEYS, in
-    nested objects too), asks for a rank-d net with k < d, holds a sampler
-    that cannot be built or trains on one with zero curvature, or names an
-    unknown noise kind, sweep axis or verify check, before anything runs."""
+    nested objects too), asks for a rank-d net with k < d or a bandit reward
+    net without the eigengap its M needs, holds a sampler that cannot be
+    built or trains on one with zero curvature, or names an unknown noise
+    kind, sweep axis or verify check, before anything runs."""
     if not isinstance(scenario, dict):
         raise RejectedInput("scenario must be a JSON object")
     where, skip, bad = "scenario", None, []
@@ -159,6 +160,11 @@ def _check_scenario(command: str, scenario: dict) -> None:
         raise RejectedInput(f"scenario has bad value(s): {'; '.join(bad)}")
     if command in ("bandit", "transfer") and scenario["k"] < scenario["d"]:
         raise RejectedInput(f"{where} has k = {scenario['k']} < d = {scenario['d']}: a rank-d net needs k >= d")
+    if command == "bandit":  # T enters none of the problem's checks, and a T-axis sweep base has none
+        try:
+            bandit_problem_from_scenario({**scenario, "T": 1})
+        except AssumptionViolated as exc:
+            raise RejectedInput(f"{where}'s reward net breaks the eigengap assumption: {exc}") from None
     if command in ("identify", "transfer"):
         samplers = [sampler_from_dict(_value(scenario, name) or {}, scenario["d"])
                     for name in ("sampler", "shift", "shift_sampler")]
@@ -206,22 +212,24 @@ def scenario_hash(scenario: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, float):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
+def _columns(rows: list[dict]) -> dict:
+    """Rows that share their keys, as one table of named columns."""
+    return {name: [row[name] for row in rows] for name in rows[0]}
 
 
-def write_csv(path: Path, header: list[str], rows: list[dict]) -> None:
+def write_csv(path: Path, table: dict) -> None:
+    """Write a table of named, equally long columns (arrays or lists): the
+    header is the key order, and each column is formatted once, lazily.
+    Cells are the str of .tolist()'s values, which is repr for a float,
+    with bools as 0/1; csv quotes a cell that holds a comma."""
+    def cells(column):
+        values = np.asarray(column)
+        return map(str, (values.astype(int) if values.dtype == bool else values).tolist())
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(row[col]) for col in header])
+        writer.writerow(table)
+        writer.writerows(zip(*map(cells, table.values()), strict=True))
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +304,12 @@ def samplers_from_scenario(scenario: dict, shift_key: str):
     return sampler_from_dict(p, scenario["d"]), sampler_from_dict(p if q is None else q, scenario["d"])
 
 
-def train_config_from_dict(spec: dict, seed: int = 0) -> core.TrainConfig:
+def train_config_from_dict(spec: dict) -> core.TrainConfig:
     return core.TrainConfig(
         learning_rate=_value(spec, "learning_rate"),
         max_iters=int(_value(spec, "max_iters")),
         grad_tol=_value(spec, "grad_tol"),
         init_scale=_value(spec, "init_scale"),
-        seed=seed,
     )
 
 
@@ -399,16 +406,7 @@ def run_bandit_seed(scenario: dict, seed: int) -> dict:
     cfg = train_config_from_dict(_value(scenario, "train"))
     trace = bandit.run_etc(problem, cfg, seed)
     cum = trace.cumulative_regret()
-    trace_rows = []
-    stride = int(_value(scenario, "trace_stride"))
-    for t in range(0, trace.T, stride):
-        trace_rows.append({
-            "t": t + 1,
-            "phase": "explore" if t < trace.m else "commit",
-            "reward": float(trace.rewards[t]),
-            "inst_regret": float(trace.inst_regret[t]),
-            "cum_regret": float(cum[t]),
-        })
+    t = np.arange(0, trace.T, int(_value(scenario, "trace_stride")))
     return {
         "m": trace.m,
         "m_raw": trace.m_raw,
@@ -417,7 +415,8 @@ def run_bandit_seed(scenario: dict, seed: int) -> dict:
         "regret_bound": bandit.regret_bound(problem, trace.T),
         "committed_arm": [float(v) for v in trace.committed_arm],
         "fit": trace.fit.diagnostics(),
-        "trace_rows": trace_rows,
+        "table": {"t": t + 1, "phase": np.where(t < trace.m, "explore", "commit"), "reward": trace.rewards[t],
+                  "inst_regret": trace.inst_regret[t], "cum_regret": cum[t]},
     }
 
 
@@ -679,8 +678,8 @@ def run_sweep(config: ExperimentConfig) -> tuple[int, dict]:
             row = {"n_g": g, "seed": seed, "gold_sup_gap": payload["gold_sup_gap"],
                    "certified": payload["certified"], "holds": payload["holds"]}
         else:
-            gaps = [r["gap_l2"] for r in payload["rows"] if r["parse_match"]]
-            metric = float(np.mean(gaps)) if gaps else 0.0
+            gaps = payload["table"]["gap_l2"][payload["table"]["parse_match"]]
+            metric = float(np.mean(gaps)) if gaps.size else 0.0
             row = {"T": g, "seed": seed, "mean_matched_gap": metric, "freq_within": payload["freq_within"]}
         return {"axis_value": g, "seed": seed, "metric": metric, "row": row}
 
@@ -694,8 +693,8 @@ def run_sweep(config: ExperimentConfig) -> tuple[int, dict]:
         slope, intercept, stderr = bandit.fit_loglog_slope(np.array(grid, dtype=float), np.array(medians))
         summary.update({"slope": slope, "intercept": intercept, "stderr": stderr})
 
-    header = sorted({k for r in results for k in r["row"]})
-    write_csv(config.out_dir / "sweep.csv", header, [r["row"] for r in results])
+    table = _columns([r["row"] for r in results])
+    write_csv(config.out_dir / "sweep.csv", dict(sorted(table.items())))
     (config.out_dir / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     return EXIT_OK, summary
 
@@ -719,10 +718,6 @@ _SEED_RUNNERS = {
     "verify": run_verify_seed,
 }
 
-IDENTIFY_COLUMNS = ["n", "seed", "shift_id", "emp_loss_q", "sup_gap_sq", "certified_bound", "holds"]
-TRACE_COLUMNS = ["t", "phase", "reward", "inst_regret", "cum_regret"]
-MODULE_COLUMNS = ["word_id", "parse_match", "gap_l2", "bound", "within_bound"]
-
 
 def run(config: ExperimentConfig) -> int:
     """Execute the configured command; returns the process exit status."""
@@ -744,7 +739,7 @@ def run(config: ExperimentConfig) -> int:
 
     with open(config.out_dir / "runs.jsonl", "a") as fh:
         for seed, payload, wall in outputs:
-            slim = {k: v for k, v in payload.items() if k not in ("trace_rows", "rows")}
+            slim = {k: v for k, v in payload.items() if k not in ("table", "rows")}
             record = {
                 "command": config.command,
                 "scenario_hash": digest,
@@ -758,19 +753,17 @@ def run(config: ExperimentConfig) -> int:
     status = EXIT_OK
     if config.command == "identify":
         rows = sorted((r for _, p, _ in outputs for r in p["rows"]), key=lambda r: (r["n"], r["seed"]))
-        write_csv(config.out_dir / "identify.csv", IDENTIFY_COLUMNS, rows)
-    elif config.command == "bandit":
+        write_csv(config.out_dir / "identify.csv", _columns(rows))
+    elif config.command in ("bandit", "modules"):
+        stem = "trace" if config.command == "bandit" else "modules"
         for seed, payload, _ in outputs:
-            write_csv(config.out_dir / f"trace_{seed}.csv", TRACE_COLUMNS, payload["trace_rows"])
-    elif config.command == "modules":
-        for seed, payload, _ in outputs:
-            write_csv(config.out_dir / f"modules_{seed}.csv", MODULE_COLUMNS, payload["rows"])
+            write_csv(config.out_dir / f"{stem}_{seed}.csv", payload["table"])
     elif config.command == "verify":
         rows = [{"seed": seed, "check": chk["check"], "passed": chk["passed"]}
                 for seed, payload, _ in outputs for chk in payload["checks"]]
         for row in rows:
             print(f"[{'PASS' if row['passed'] else 'FAIL'}] {row['check']}")
-        write_csv(config.out_dir / "checks.csv", ["seed", "check", "passed"], rows)
+        write_csv(config.out_dir / "checks.csv", _columns(rows))
         failed = sorted({row["check"] for row in rows if not row["passed"]})
         if failed:
             print("violated checks: " + ", ".join(failed))

@@ -149,7 +149,6 @@ def robust_shift_experiment(
     xi_max: float = 0.0,
     noise_kind: str = "zero",
     bounds: core.BoundSpec | None = None,
-    alpha: float | None = None,
     n_eval: int = 4000,
 ) -> tuple[list[dict], list[dict]]:
     """Train on p, evaluate under q: one row and one fit record per (n, seed).
@@ -163,8 +162,7 @@ def robust_shift_experiment(
         theta_max = truth.frobenius_norm() * 1.5
         x_max = max(sampler_p.x_max, sampler_q.x_max)
         bounds = core.BoundSpec(x_max=x_max, theta_max=theta_max, phi_max=theta_max**2, xi_max=xi_max)
-    if alpha is None:
-        alpha = core.exact_alpha(sampler_p)
+    alpha = core.exact_alpha(sampler_p)
     grid = [(n, seed) for n in n_grid for seed in seeds]
     datasets = [core.generate_dataset(truth, sampler_p, xi_max, noise_kind, n, seed) for n, seed in grid]
     starts = [core.seeded_start(truth.d, truth.k, replace(cfg, seed=seed + 1)) for _, seed in grid]

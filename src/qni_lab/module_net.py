@@ -21,6 +21,7 @@ from . import qnn_core as core
 from .errors import RejectedInput
 
 START_STATE = 0  # parser state before any token is read; modules are 1..k
+ENUMERATE_LIMIT = 300_000  # most words sequence_error_check enumerates
 
 
 @dataclass(frozen=True)
@@ -421,19 +422,18 @@ def sequence_error_check(
     chain: TokenChain,
     n_mc: int,
     seed: int,
-    enumerate_limit: int = 300_000,
 ) -> dict:
     """Check P[parse_hat(w) != parse_true(w)] <= T * eps_g with eps_g the exact
     per-step disagreement under the averaged mixture.
 
-    The sequence error is exact (full enumeration) when |Z|^T is small,
-    otherwise Monte-Carlo over n_mc words.
+    The sequence error is exact (full enumeration) when |Z|^T is at most
+    ENUMERATE_LIMIT, otherwise Monte-Carlo over n_mc words.
     """
     _, avg = mixture_distributions(chain, parser_true)
     eps_g = parser_disagreement(parser_hat, parser_true, avg)
     T = chain.T
     n_words = chain.alphabet_size**T
-    if n_words <= enumerate_limit:
+    if n_words <= ENUMERATE_LIMIT:
         words, probs = enumerate_word_distribution(chain)
         words = np.array(words, dtype=int).reshape(n_words, T)
         differ = np.any(parse(parser_hat, words) != parse(parser_true, words), axis=1)
@@ -442,7 +442,7 @@ def sequence_error_check(
         exact = True
     else:
         if n_mc < 1:
-            raise RejectedInput(f"n_mc must be >= 1 when |Z|^T = {n_words} exceeds enumerate_limit")
+            raise RejectedInput(f"n_mc must be >= 1 when |Z|^T = {n_words} exceeds {ENUMERATE_LIMIT}")
         words = sample_words(chain, np.random.default_rng(seed).random((n_mc, T)))
         bad = int(np.sum(np.any(parse(parser_hat, words) != parse(parser_true, words), axis=1)))
         err = bad / n_mc
@@ -514,10 +514,6 @@ def composition_error_experiment(
     match = np.all(parse(parser_hat, words) == parse(parser_true, words), axis=1)
     within = gaps <= bound + 1e-12
     n_within, n_match = int(np.sum(within)), int(np.sum(match))
-    rows = [
-        {"word_id": i, "parse_match": int(m), "gap_l2": g, "bound": float(bound), "within_bound": int(w)}
-        for i, (m, g, w) in enumerate(zip(match.tolist(), gaps.tolist(), within.tolist()))
-    ]
     freq = n_within / n_mc
     target = 1.0 - T * eps_g - T * T * spec.alpha_shift
     if target <= 0.0:
@@ -539,7 +535,8 @@ def composition_error_experiment(
         "target": float(target),
         "band": float(band),
         "holds": bool(holds),
-        "rows": rows,
+        "table": {"word_id": np.arange(n_mc), "parse_match": match, "gap_l2": gaps,
+                  "bound": np.full(n_mc, float(bound)), "within_bound": within},
     }
 
 
@@ -593,9 +590,9 @@ def random_parser(alphabet_size: int, k: int, rng: np.random.Generator) -> Parse
     return Parser(rng.integers(1, k + 1, size=(alphabet_size, k + 1)))
 
 
-def random_chain(alphabet_size: int, T: int, rng: np.random.Generator, concentration: float = 2.0) -> TokenChain:
-    init = rng.dirichlet(np.full(alphabet_size, concentration))
-    trans = np.stack([rng.dirichlet(np.full(alphabet_size, concentration)) for _ in range(alphabet_size)])
+def random_chain(alphabet_size: int, T: int, rng: np.random.Generator) -> TokenChain:
+    init = rng.dirichlet(np.full(alphabet_size, 2.0))
+    trans = np.stack([rng.dirichlet(np.full(alphabet_size, 2.0)) for _ in range(alphabet_size)])
     return TokenChain(initial=init, transition=trans, T=T)
 
 

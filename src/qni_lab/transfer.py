@@ -165,7 +165,6 @@ def run_transfer(
     delta: float,
     cfg: core.TrainConfig,
     seed: int = 0,
-    alpha: float | None = None,
 ) -> dict:
     """Full two-stage pipeline; returns the transfer report payload.
 
@@ -174,8 +173,7 @@ def run_transfer(
     compares the measured gold sup gap against 2 K^2 eps_g / alpha.
     """
     b = problem.bounds()
-    if alpha is None:
-        alpha = core.exact_alpha(problem.sampler_p)
+    alpha = core.exact_alpha(problem.sampler_p)
     data_p = core.generate_dataset(
         problem.theta_p_star, problem.sampler_p, problem.xi_max, problem.noise_kind,
         problem.n_p, seed,

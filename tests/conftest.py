@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+import csv
 import itertools
 import math
 
@@ -85,6 +86,25 @@ def quadratic_form_second_moment(sampler: core.CovariateSampler, delta: np.ndarr
     X = sampler.sample(n_mc, rng)
     q = np.einsum("ni,ij,nj->n", X, delta, X)
     return float(np.mean(q * q))
+
+
+def reference_write_csv(path, header: list[str], rows: list[dict]) -> None:
+    """Write rows one cell at a time, each cell formatted by its own Python
+    type; oracle for harness.write_csv, which formats whole columns."""
+    def fmt(value) -> str:
+        if isinstance(value, bool):
+            return str(int(value))
+        if isinstance(value, float):
+            return repr(float(value))
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        return str(value)
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([fmt(row[col]) for col in header])
 
 
 def reference_projected_gd(data: core.Dataset, theta0: np.ndarray, cfg: core.TrainConfig,
@@ -205,7 +225,8 @@ def reference_composition_experiment(true_library, fitted_library, parser_true, 
     _, avg = mn.mixture_distributions(spec.base, parser_true)
     eps_g = mn.parser_disagreement(parser_hat, parser_true, avg)
     bound = T * eps_f * max(K ** (T - 1), 1.0)
-    rows, n_within, n_match = [], 0, 0
+    table = {"word_id": [], "parse_match": [], "gap_l2": [], "bound": [], "within_bound": []}
+    n_within, n_match = 0, 0
     for i in range(n_mc):
         w = reference_sample_word(spec.shifted, rng)
         x = reference_uniform_ball(true_library.d, true_library.x_max, rng)
@@ -215,8 +236,8 @@ def reference_composition_experiment(true_library, fitted_library, parser_true, 
         within = gap <= bound + 1e-12
         n_within += within
         n_match += match
-        rows.append({"word_id": i, "parse_match": int(match), "gap_l2": gap,
-                     "bound": float(bound), "within_bound": int(within)})
+        for name, value in zip(table, (i, match, gap, float(bound), within)):
+            table[name].append(value)
     freq = n_within / n_mc
     target = 1.0 - T * eps_g - T * T * spec.alpha_shift
     if target <= 0.0:
@@ -228,5 +249,5 @@ def reference_composition_experiment(true_library, fitted_library, parser_true, 
         "T": int(T), "n_mc": int(n_mc), "eps_f": float(eps_f), "eps_g": float(eps_g),
         "k_module": float(K), "alpha_shift": float(spec.alpha_shift), "gap_bound": float(bound),
         "freq_within": float(freq), "freq_parse_match": float(n_match / n_mc),
-        "target": float(target), "band": float(band), "holds": bool(holds), "rows": rows,
+        "target": float(target), "band": float(band), "holds": bool(holds), "table": table,
     }

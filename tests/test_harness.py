@@ -5,8 +5,10 @@ import re
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from conftest import reference_write_csv
 from qni_lab import cli, harness
 from qni_lab.errors import RejectedInput
 
@@ -57,6 +59,51 @@ def test_identify_run_writes_expected_files(tmp_path):
     assert [r["seed"] for r in recs] == [1, 3]
     assert all(r["command"] == "identify" for r in recs)
     assert all(r["scenario_hash"] == recs[0]["scenario_hash"] for r in recs)
+
+
+def test_write_csv_equals_the_per_cell_writer(tmp_path):
+    # every column kind, each as an array and as a list; the oracle writes
+    # the Python values that .tolist() gives, one cell at a time
+    columns = {
+        "float": [math.nan, math.inf, -math.inf, -0.0, 1e-300, 0.1 + 0.2, 5e-324, 1.0, -2.5e17],
+        "int": [0, -1, 7, 2**62, -(2**62), 3, 10**15, 42, 1],
+        "bool": [True, False, False, True, True, False, True, False, True],
+        "text": ["plain", "a,b", 'say "hi"', "uniform_cube(d=3,h=0.25)", "", " lead", "x\ny", "explore",
+                 "tab\there"],
+    }
+    table = {f"{name}_array": np.array(values) for name, values in columns.items()}
+    table.update({f"{name}_list": values[::-1] for name, values in columns.items()})
+    table["int64_list"] = [np.int64(v) for v in columns["int"]]
+    table["bool_array_list"] = list(np.array(columns["bool"]))  # numpy bools
+    rows = [{name: (v.item() if isinstance(v, np.generic) else v) for name, v in zip(table, cells)}
+            for cells in zip(*(list(c) for c in table.values()))]
+    harness.write_csv(tmp_path / "columns.csv", table)
+    reference_write_csv(tmp_path / "rows.csv", list(table), rows)
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_write_csv_rejects_columns_of_unequal_length(tmp_path):
+    with pytest.raises(ValueError):
+        harness.write_csv(tmp_path / "t.csv", {"a": [1, 2], "b": [1.0]})
+
+
+# README states each data table's columns as "writes `<file>` with columns `a, b, ...`".
+def test_readme_csv_columns_match_the_written_headers(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    documented = dict(re.findall(r"writes (?:per-seed )?`([^`]+)` with columns\s+`([^`]+)`", readme))
+    train = {"learning_rate": 0.2, "max_iters": 100, "grad_tol": 1e-6}
+    runs = {
+        "identify.csv": ("identify", small_identify_scenario()),
+        "trace_<seed>.csv": ("bandit", default_with("bandit", T=60, train=train)),
+        "modules_<seed>.csv": ("modules", default_with("modules", n_mc=20, n_train=60, n_parser_words=20,
+                                                       train=train)),
+    }
+    assert documented.keys() == runs.keys()
+    for name, (command, scenario) in runs.items():
+        out = tmp_path / command
+        assert harness.run(harness.ExperimentConfig(command, scenario, (0,), out)) == 0
+        header = (out / name.replace("<seed>", "0")).read_text().splitlines()[0]
+        assert header.split(",") == documented[name].split(", "), name
 
 
 def test_identify_rerun_is_byte_identical(tmp_path):
@@ -415,6 +462,19 @@ def test_cli_negative_scenario_seed_exits_2(tmp_path, capsys, command, key):
     # and numpy warnings, with exit 0.
     ("sweep", {"axis": "n", "grid": [300, 300.5, 600], "base": default_with("identify")}, "strictly increasing"),
     ("sweep", {"axis": "n", "grid": [300, 300, 600], "base": default_with("identify")}, "strictly increasing"),
+    # A reward net without the eigengap the bandit assumes raised a traceback
+    # with exit 1, as d = 1 with M given did (an IndexError); a spectrum of
+    # the wrong length and d = 1 exited 2, but after the output directory
+    # was made.
+    ("bandit", default_with("bandit", spectrum=[1.0, 1.0, 0.1]), "top eigenvalues are degenerate"),
+    ("bandit", default_with("bandit", spectrum=[0, 0, 0]), "top eigenvalues are degenerate"),
+    ("bandit", default_with("bandit", M=1), "eigengap 0.7 is below 4/M = 4"),
+    ("sweep", {"axis": "T", "grid": [100, 200, 400], "base": {
+        k: v for k, v in default_with("bandit", spectrum=[1.0, 1.0, 0.1]).items() if k != "T"}},
+     "top eigenvalues are degenerate"),
+    ("bandit", default_with("bandit", spectrum=[1.0, 0.3]), "spectrum must list d eigenvalues"),
+    ("bandit", default_with("bandit", d=1, spectrum=[1.0]), "need d >= 2 for an eigengap"),
+    ("bandit", default_with("bandit", d=1, spectrum=[1.0], M=1), "need d >= 2 for an eigengap"),
 ])
 def test_cli_scenario_value_outside_its_domain_exits_2(tmp_path, capsys, command, scenario, message):
     with warnings.catch_warnings():

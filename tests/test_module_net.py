@@ -539,7 +539,7 @@ def test_composition_experiment_exact_setup_has_zero_gap():
     report = mn.composition_error_experiment(lib, lib, parser, parser, spec, 100, 0)
     assert report["eps_f"] == 0.0 and report["eps_g"] == 0.0
     assert report["freq_parse_match"] == 1.0
-    assert all(r["gap_l2"] == 0.0 for r in report["rows"])
+    assert np.all(report["table"]["gap_l2"] == 0.0)
     assert report["holds"]
 
 
@@ -563,8 +563,8 @@ def test_composition_experiment_contractive_bound():
     spec = mn.ShiftSpec(chain, shifted, 0.05)
     report = mn.composition_error_experiment(lib, fitted, parser, parser, spec, 400, 1)
     # matched parses obey the telescoped bound with no violations
-    matched = [r for r in report["rows"] if r["parse_match"]]
-    assert matched and all(r["within_bound"] for r in matched)
+    matched = report["table"]["parse_match"]
+    assert matched.any() and report["table"]["within_bound"][matched].all()
     assert report["holds"]
 
 
@@ -579,8 +579,8 @@ def test_composition_experiment_expansive_bound():
     report = mn.composition_error_experiment(lib, fitted, parser, parser, spec, 300, 2)
     assert report["k_module"] == pytest.approx(1.5, rel=1e-9)
     assert report["gap_bound"] == pytest.approx(6 * report["eps_f"] * 1.5**5, rel=1e-9)
-    matched = [r for r in report["rows"] if r["parse_match"]]
-    assert matched and all(r["within_bound"] for r in matched)
+    matched = report["table"]["parse_match"]
+    assert matched.any() and report["table"]["within_bound"][matched].all()
 
 
 # ---------------------------------------------------------------------------
@@ -613,8 +613,12 @@ def test_composition_experiment_equals_the_per_word_oracle(c13_libraries, lipsch
     report = mn.composition_error_experiment(lib, fitted, parser_true, parser_hat, spec, 300, 48 + T)
     expected = reference_composition_experiment(lib, fitted, parser_true, parser_hat, spec, 300, 48 + T)
     assert report.keys() == expected.keys()
-    for key in expected:
+    for key in expected.keys() - {"table"}:
         assert report[key] == expected[key], key
+    assert report["table"].keys() == expected["table"].keys()
+    for name, column in expected["table"].items():
+        values = report["table"][name].tolist()
+        assert values == column and list(map(type, values)) == list(map(type, column)), name
 
 
 @pytest.mark.parametrize("d, lipschitz", [(2, 0.9), (3, 1.5), (10, 0.8)])
